@@ -6,15 +6,22 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/scramnet"
 )
 
+// reduced is the package's shared Run(ReducedOptions()): it includes
+// every gated measurement (E9-E15), so the shape and gate tests read it
+// instead of each re-running the suite or its measurements.
+var reduced = sync.OnceValue(func() Report { return Run(ReducedOptions()) })
+
 // TestReportByteStable is the stability guarantee the `make bench` tier
-// rests on: two full reduced runs must marshal to identical bytes.
+// rests on: two full reduced runs must marshal to identical bytes. The
+// second run is independent of the shared one.
 func TestReportByteStable(t *testing.T) {
-	a := Marshal(Run(ReducedOptions()))
+	a := Marshal(reduced())
 	b := Marshal(Run(ReducedOptions()))
 	if !bytes.Equal(a, b) {
 		t.Fatal("two identical report runs produced different bytes")
@@ -24,7 +31,7 @@ func TestReportByteStable(t *testing.T) {
 // TestReportSchemaAndShape pins the document structure a schema-7
 // consumer relies on.
 func TestReportSchemaAndShape(t *testing.T) {
-	r := Run(ReducedOptions())
+	r := reduced()
 	if r.Schema != 7 {
 		t.Fatalf("schema = %d, want 7", r.Schema)
 	}
@@ -62,7 +69,7 @@ func TestReportSchemaAndShape(t *testing.T) {
 // same values the golden figure tests enforce: installing metrics must
 // not move any figure (instruments never charge virtual time).
 func TestReportMatchesGoldenFigures(t *testing.T) {
-	r := Run(ReducedOptions())
+	r := reduced()
 	within := func(got, want, tol float64) bool {
 		return math.Abs(got-want) <= tol*want
 	}
@@ -87,7 +94,7 @@ func TestReportMatchesGoldenFigures(t *testing.T) {
 // traffic grows with message size, and for large messages the DMA path
 // is strictly cheaper.
 func TestBusSweepShowsPIOReadDominance(t *testing.T) {
-	r := Run(ReducedOptions())
+	r := reduced()
 	small, large := r.BusSweep[0], r.BusSweep[len(r.BusSweep)-1]
 	if large.PIOReadWords <= small.PIOReadWords {
 		t.Errorf("PIO read words did not grow with size: %d -> %d", small.PIOReadWords, large.PIOReadWords)
@@ -110,11 +117,12 @@ func TestBusSweepShowsPIOReadDominance(t *testing.T) {
 // threshold must converge on the measured 20 B crossover (E7) on the
 // default uncontended bus.
 func TestPollAggregationGate(t *testing.T) {
+	m := reduced()
 	r := Report{
-		PollAggregation:      pollAggregation(),
-		AdaptiveRecvDMABytes: adaptiveConverged(),
-		FailoverLatency:      failoverLatency(), // Check gates the whole report
-		RndvPipeline:         rndvPipeline(),
+		PollAggregation:      m.PollAggregation,
+		AdaptiveRecvDMABytes: m.AdaptiveRecvDMABytes,
+		FailoverLatency:      m.FailoverLatency, // Check gates the whole report
+		RndvPipeline:         m.RndvPipeline,
 		StreamAllreduce:      passingStream,
 		BarrierScaling:       passingBarrier,
 		PartitionTolerance:   passingPartition,
@@ -138,8 +146,9 @@ func TestPollAggregationGate(t *testing.T) {
 // window (plus probe spacing) — both orders of magnitude below the
 // ~51 ms retry-exhaustion path the failure detector replaces.
 func TestFailoverLatencyGate(t *testing.T) {
-	f := failoverLatency()
-	r := Report{PollAggregation: pollAggregation(), FailoverLatency: f, RndvPipeline: rndvPipeline(), StreamAllreduce: passingStream, BarrierScaling: passingBarrier, PartitionTolerance: passingPartition}
+	m := reduced()
+	f := m.FailoverLatency
+	r := Report{PollAggregation: m.PollAggregation, FailoverLatency: f, RndvPipeline: m.RndvPipeline, StreamAllreduce: passingStream, BarrierScaling: passingBarrier, PartitionTolerance: passingPartition}
 	if err := r.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +166,9 @@ func TestFailoverLatencyGate(t *testing.T) {
 // non-wire share — a larger number would mean the windowed path
 // stopped paying for the wire at all, i.e. the model broke.
 func TestRndvPipelineGate(t *testing.T) {
-	z := rndvPipeline()
-	r := Report{PollAggregation: pollAggregation(), FailoverLatency: failoverLatency(), RndvPipeline: z, StreamAllreduce: passingStream, BarrierScaling: passingBarrier, PartitionTolerance: passingPartition}
+	m := reduced()
+	z := m.RndvPipeline
+	r := Report{PollAggregation: m.PollAggregation, FailoverLatency: m.FailoverLatency, RndvPipeline: z, StreamAllreduce: passingStream, BarrierScaling: passingBarrier, PartitionTolerance: passingPartition}
 	if err := r.Check(); err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +241,12 @@ func TestBarrierScalingGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-rank barrier sweep in -short mode")
 	}
-	b := barrierScaling()
+	m := reduced()
+	b := m.BarrierScaling
 	r := Report{
-		PollAggregation:    pollAggregation(),
-		FailoverLatency:    failoverLatency(),
-		RndvPipeline:       rndvPipeline(),
+		PollAggregation:    m.PollAggregation,
+		FailoverLatency:    m.FailoverLatency,
+		RndvPipeline:       m.RndvPipeline,
 		StreamAllreduce:    passingStream,
 		BarrierScaling:     b,
 		PartitionTolerance: passingPartition,
@@ -271,11 +282,12 @@ func TestBarrierScalingGate(t *testing.T) {
 // MinStreamImprovementPct, must charge handler cycles in virtual time,
 // and must degrade to the tree when a member is suspect.
 func TestStreamAllreduceGate(t *testing.T) {
-	s := streamAllreduce()
+	m := reduced()
+	s := m.StreamAllreduce
 	r := Report{
-		PollAggregation:    pollAggregation(),
-		FailoverLatency:    failoverLatency(),
-		RndvPipeline:       rndvPipeline(),
+		PollAggregation:    m.PollAggregation,
+		FailoverLatency:    m.FailoverLatency,
+		RndvPipeline:       m.RndvPipeline,
 		StreamAllreduce:    s,
 		BarrierScaling:     passingBarrier,
 		PartitionTolerance: passingPartition,
@@ -303,11 +315,12 @@ func TestStreamAllreduceGate(t *testing.T) {
 // dual ring's single-cut wrap path must cost latency — some, but only
 // wire time.
 func TestPartitionToleranceGate(t *testing.T) {
-	pt := partitionTolerance()
+	m := reduced()
+	pt := m.PartitionTolerance
 	r := Report{
-		PollAggregation:    pollAggregation(),
-		FailoverLatency:    failoverLatency(),
-		RndvPipeline:       rndvPipeline(),
+		PollAggregation:    m.PollAggregation,
+		FailoverLatency:    m.FailoverLatency,
+		RndvPipeline:       m.RndvPipeline,
 		StreamAllreduce:    passingStream,
 		BarrierScaling:     passingBarrier,
 		PartitionTolerance: pt,

@@ -5,10 +5,12 @@ import (
 	"testing"
 )
 
-// These benchmarks measure the simulator itself (real CPU time), since
-// every reproduction result is bottlenecked by kernel event throughput.
+// These benchmarks measure the simulator itself (real CPU time and
+// allocations), since every reproduction result is bottlenecked by
+// kernel event throughput.
 
 func BenchmarkKernelEventDispatch(b *testing.B) {
+	b.ReportAllocs()
 	k := NewKernel()
 	var t Time
 	count := 0
@@ -24,6 +26,7 @@ func BenchmarkKernelEventDispatch(b *testing.B) {
 }
 
 func BenchmarkProcContextSwitch(b *testing.B) {
+	b.ReportAllocs()
 	k := NewKernel()
 	k.Spawn("spinner", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
@@ -37,6 +40,7 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 }
 
 func BenchmarkCondHandoffPingPong(b *testing.B) {
+	b.ReportAllocs()
 	k := NewKernel()
 	a, c := NewCond(k), NewCond(k)
 	turn := 0
@@ -65,6 +69,7 @@ func BenchmarkCondHandoffPingPong(b *testing.B) {
 }
 
 func BenchmarkServerPipeline(b *testing.B) {
+	b.ReportAllocs()
 	k := NewKernel()
 	servers := make([]*Server, 8)
 	for i := range servers {
@@ -85,6 +90,7 @@ func BenchmarkServerPipeline(b *testing.B) {
 }
 
 func BenchmarkManyProcsRoundRobin(b *testing.B) {
+	b.ReportAllocs()
 	k := NewKernel()
 	const procs = 64
 	for i := 0; i < procs; i++ {
@@ -95,6 +101,26 @@ func BenchmarkManyProcsRoundRobin(b *testing.B) {
 		})
 	}
 	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSpawn measures the per-process set-up and tear-down cost: one
+// Spawn, its first resume, and its exit. Procs run in batches so that
+// only a bounded number of coroutines is alive at once.
+func BenchmarkSpawn(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel()
+	const batch = 256
+	for i := 0; i < b.N; i++ {
+		k.Spawn("p", func(p *Proc) {})
+		if i%batch == batch-1 {
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
 	}

@@ -1,16 +1,28 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated process: a coroutine scheduled by the kernel. At
 // most one process executes at any instant; a running process owns the
 // simulation until it blocks (Delay, Cond.Wait, ...), so process code may
 // freely read and write shared model state without synchronization.
+//
+// The body runs inside iter.Pull: the kernel resumes it with next and
+// the process parks itself with yield, so each resume is one direct
+// runtime coroutine switch rather than a trip through the scheduler.
 type Proc struct {
-	k      *Kernel
-	name   string
-	id     int
-	resume chan struct{}
+	k    *Kernel
+	name string
+	id   int
+	// next resumes the body until it blocks or returns; yield, valid
+	// while the body runs, parks it again.
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
 	done   bool
 	killed bool
 	daemon bool
@@ -26,11 +38,13 @@ type killedPanic struct{ name string }
 // coroutine; it must perform all waiting through p (never real time or
 // real channels).
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, id: len(k.procs), resume: make(chan struct{})}
+	p := &Proc{k: k, name: name, id: len(k.procs)}
 	k.procs = append(k.procs, p)
 	k.live++
-	go func() {
-		<-p.resume
+	// iter.Pull's stop is not kept: Close unwinds a live body through
+	// next with killed set, so the coroutine always ends by returning.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.done = true
 			if !p.daemon {
@@ -38,16 +52,15 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 			}
 			r := recover()
 			if _, ok := r.(killedPanic); ok || r == nil {
-				k.park <- struct{}{}
 				return
 			}
-			// A model bug: re-panic on the kernel goroutine would hang
-			// the handoff, so annotate and crash here.
+			// A model bug: iter.Pull re-raises it from next, on the
+			// goroutine that called Run.
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}()
 		fn(p)
-	}()
-	k.AtKind(k.now, "proc", func() { k.handoff(p) })
+	})
+	k.wakeAt(k.now, p)
 	return p
 }
 
@@ -61,23 +74,24 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// wakeAt schedules p to resume at time t. The wake-up is a single event
+// carrying p itself, profiled under the "proc" kind.
+func (k *Kernel) wakeAt(t Time, p *Proc) {
+	k.push(&event{t: t, proc: p, kind: "proc"})
+}
+
 // handoff transfers control to p until it blocks or terminates.
 func (k *Kernel) handoff(p *Proc) {
 	if p.done {
 		return
 	}
-	prev := k.running
-	k.running = p
-	p.resume <- struct{}{}
-	<-k.park
-	k.running = prev
+	p.next()
 }
 
 // block parks the calling process until the kernel dispatches it again.
 func (p *Proc) block(what string) {
 	p.blockedOn = what
-	p.k.park <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	p.blockedOn = ""
 	if p.killed {
 		panic(killedPanic{p.name})
@@ -102,14 +116,14 @@ func (p *Proc) Delay(d Duration) {
 	if d == 0 {
 		return
 	}
-	p.k.AfterKind(d, "proc", func() { p.k.handoff(p) })
+	p.k.wakeAt(p.k.now.Add(d), p)
 	p.block("delay")
 }
 
 // Yield reschedules the process at the current time behind already-queued
 // events, letting same-timestamp events run first.
 func (p *Proc) Yield() {
-	p.k.AfterKind(0, "proc", func() { p.k.handoff(p) })
+	p.k.wakeAt(p.k.now, p)
 	p.block("yield")
 }
 
@@ -165,7 +179,7 @@ func (c *Cond) Signal() {
 	}
 	p := c.waiters[0]
 	c.waiters = c.waiters[1:]
-	c.k.AfterKind(0, "proc", func() { c.k.handoff(p) })
+	c.k.wakeAt(c.k.now, p)
 }
 
 // Broadcast wakes every waiting process in FIFO order.
@@ -173,7 +187,6 @@ func (c *Cond) Broadcast() {
 	ws := c.waiters
 	c.waiters = nil
 	for _, p := range ws {
-		w := p
-		c.k.AfterKind(0, "proc", func() { c.k.handoff(w) })
+		c.k.wakeAt(c.k.now, p)
 	}
 }

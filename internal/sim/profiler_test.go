@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// workload runs a fixed mix of events, observers, labeled events and a
-// process on k, and returns the number of plain fn invocations.
+// workload runs a fixed mix of events, observers, labeled events and
+// processes woken every way (spawn, Delay, Yield, Cond.Signal) on k, and
+// returns the number of plain fn invocations.
 func workload(k *Kernel) *int {
 	fired := new(int)
 	bump := func() { *fired++ }
@@ -24,11 +25,18 @@ func workload(k *Kernel) *int {
 		}
 	}
 	k.AfterObserver(100, tick)
+	c := NewCond(k)
+	k.Spawn("waiter", func(p *Proc) {
+		c.Wait(p)
+		*fired++
+	})
 	k.Spawn("worker", func(p *Proc) {
 		p.Delay(30)
 		*fired++
 		p.Delay(30)
 		*fired++
+		p.Yield()
+		c.Signal()
 	})
 	return fired
 }
@@ -109,8 +117,8 @@ func TestProfilerKinds(t *testing.T) {
 		"bus":      1,
 		"event":    2,
 		"observer": 3,
-		// Spawn handoff + two Delay resumes.
-		"proc": 3,
+		// Two spawns, two Delay resumes, one Yield, one Signal.
+		"proc": 6,
 	}
 	got := map[string]int64{}
 	for _, s := range prof.Stats() {

@@ -6,10 +6,10 @@
 //   - plain events: closures scheduled at an absolute virtual time with
 //     Kernel.At or Kernel.After, executed on the kernel goroutine; and
 //   - processes: coroutines (see Proc) that model software running on a
-//     simulated CPU. A process runs exclusively — the kernel hands it a
-//     token and waits until the process blocks again — so all simulation
-//     state is accessed by at most one goroutine at a time and no locking
-//     is needed anywhere in the models.
+//     simulated CPU. A process runs exclusively — the kernel switches to
+//     its coroutine and regains control only when the process blocks
+//     again — so all simulation state is accessed by at most one
+//     goroutine at a time and no locking is needed anywhere in the models.
 //
 // Events with equal timestamps fire in scheduling order (a monotonically
 // increasing sequence number breaks ties), which makes every run of a
@@ -65,9 +65,13 @@ func (d Duration) String() string {
 type event struct {
 	t   Time
 	seq uint64
-	fn  func()
-	// canceled events stay in the heap but are skipped when popped.
-	canceled bool
+	// An event either runs fn or, when proc is set, resumes that
+	// process: a wake-up needs no closure of its own.
+	fn   func()
+	proc *Proc
+	// done marks an event that fired or was canceled. Canceled events
+	// stay in the heap but are skipped when popped.
+	done bool
 	// observer events (periodic monitors: metrics streams, heartbeat
 	// tickers) are invisible to Pending, so several observers never keep
 	// each other — or a finished simulation — alive.
@@ -109,15 +113,17 @@ func (h *eventHeap) Pop() (popped any) {
 }
 
 // Timer is a handle to a scheduled event that can be canceled before it
-// fires. Canceling a timer that already fired is a no-op.
-type Timer struct{ ev *event }
+// fires. Canceling a timer that already fired is a no-op. The handle is
+// the event itself, so scheduling allocates once.
+type Timer event
 
-// Stop cancels the timer. It reports whether the event had not yet fired.
+// Stop cancels the timer. It reports whether the event had not yet fired
+// (and had not already been stopped).
 func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.canceled {
+	if t == nil || t.done {
 		return false
 	}
-	t.ev.canceled = true
+	t.done = true
 	return true
 }
 
@@ -127,8 +133,6 @@ type Kernel struct {
 	now      Time
 	seq      uint64
 	events   eventHeap
-	park     chan struct{}
-	running  *Proc
 	procs    []*Proc
 	live     int
 	closed   bool
@@ -138,7 +142,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{park: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
@@ -147,13 +151,19 @@ func (k *Kernel) Now() Time { return k.now }
 // At schedules fn to run at absolute time t (which must not be in the
 // past) and returns a cancelable handle.
 func (k *Kernel) At(t Time, fn func()) *Timer {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, k.now))
+	ev := &event{t: t, fn: fn}
+	k.push(ev)
+	return (*Timer)(ev)
+}
+
+// push stamps ev with the next sequence number and queues it.
+func (k *Kernel) push(ev *event) {
+	if ev.t < k.now {
+		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", ev.t, k.now))
 	}
-	ev := &event{t: t, seq: k.seq, fn: fn}
+	ev.seq = k.seq
 	k.seq++
 	heap.Push(&k.events, ev)
-	return &Timer{ev: ev}
 }
 
 // After schedules fn to run d from now.
@@ -171,14 +181,14 @@ func (k *Kernel) After(d Duration, fn func()) *Timer {
 // remain — the workload is done", even when several observers coexist.
 func (k *Kernel) AtObserver(t Time, fn func()) *Timer {
 	tm := k.At(t, fn)
-	tm.ev.observer = true
+	tm.observer = true
 	return tm
 }
 
 // AfterObserver schedules fn like After, as an observer event.
 func (k *Kernel) AfterObserver(d Duration, fn func()) *Timer {
 	tm := k.After(d, fn)
-	tm.ev.observer = true
+	tm.observer = true
 	return tm
 }
 
@@ -188,14 +198,14 @@ func (k *Kernel) AfterObserver(d Duration, fn func()) *Timer {
 // else — ordering, Pending and the virtual clock are untouched.
 func (k *Kernel) AtKind(t Time, kind string, fn func()) *Timer {
 	tm := k.At(t, fn)
-	tm.ev.kind = kind
+	tm.kind = kind
 	return tm
 }
 
 // AfterKind schedules fn like After, labeled for the profiler.
 func (k *Kernel) AfterKind(d Duration, kind string, fn func()) *Timer {
 	tm := k.After(d, fn)
-	tm.ev.kind = kind
+	tm.kind = kind
 	return tm
 }
 
@@ -218,21 +228,31 @@ func (k *Kernel) Executed() int64 { return k.executed }
 func (k *Kernel) step() bool {
 	for len(k.events) > 0 {
 		ev := heap.Pop(&k.events).(*event)
-		if ev.canceled {
+		if ev.done {
 			continue
 		}
+		ev.done = true
 		k.now = ev.t
 		k.executed++
 		if k.prof != nil {
 			t0 := time.Now()
-			ev.fn()
+			k.fire(ev)
 			k.prof.record(kindOf(ev), time.Since(t0).Nanoseconds())
 		} else {
-			ev.fn()
+			k.fire(ev)
 		}
 		return true
 	}
 	return false
+}
+
+// fire executes a popped event: a process wake-up or a plain callback.
+func (k *Kernel) fire(ev *event) {
+	if ev.proc != nil {
+		k.handoff(ev.proc)
+	} else {
+		ev.fn()
+	}
 }
 
 // DeadlockError reports that the event queue drained while processes were
@@ -276,7 +296,7 @@ func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
 
 func (k *Kernel) peek() *event {
 	for len(k.events) > 0 {
-		if k.events[0].canceled {
+		if k.events[0].done {
 			heap.Pop(&k.events)
 			continue
 		}
@@ -295,7 +315,7 @@ func (k *Kernel) peek() *event {
 func (k *Kernel) Pending() int {
 	n := 0
 	for _, ev := range k.events {
-		if !ev.canceled && !ev.observer {
+		if !ev.done && !ev.observer {
 			n++
 		}
 	}

@@ -3,8 +3,11 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -75,6 +78,18 @@ func TestTimerStop(t *testing.T) {
 	}
 	if fired {
 		t.Fatal("canceled timer fired")
+	}
+
+	// A timer that already fired cannot be stopped.
+	done := k.At(20, func() { fired = true })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Fatal("timer did not fire")
+	}
+	if done.Stop() {
+		t.Error("Stop returned true for a timer that already fired")
 	}
 }
 
@@ -206,18 +221,46 @@ func TestDeadlockDetection(t *testing.T) {
 	k.Close()
 }
 
+// TestCloseUnwindsProcesses checks that Close unwinds every blocked
+// process and daemon: their deferred functions run and the goroutine
+// count returns to where it started.
 func TestCloseUnwindsProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
 	k := NewKernel()
-	cleaned := false
 	c := NewCond(k)
-	k.Spawn("stuck", func(p *Proc) {
-		defer func() { cleaned = true }()
-		c.Wait(p)
-	})
-	k.RunFor(10)
+	q := NewQueue[int](k)
+	deferred := 0
+	for i := 0; i < 8; i++ {
+		k.Spawn(fmt.Sprintf("blocked%d", i), func(p *Proc) {
+			defer func() { deferred++ }()
+			p.Delay(5)
+			c.Wait(p)
+		})
+		k.SpawnDaemon(fmt.Sprintf("daemon%d", i), func(p *Proc) {
+			defer func() { deferred++ }()
+			for {
+				q.Pop(p)
+			}
+		})
+	}
+	var dl *DeadlockError
+	if err := k.Run(); !errors.As(err, &dl) || len(dl.Blocked) != 8 {
+		t.Fatalf("err = %v, want a deadlock naming 8 blocked procs", err)
+	}
+	if runtime.NumGoroutine() < base+16 {
+		t.Fatalf("goroutines = %d, want at least %d while procs are blocked",
+			runtime.NumGoroutine(), base+16)
+	}
 	k.Close()
-	if !cleaned {
-		t.Fatal("deferred cleanup did not run on Close")
+	if deferred != 16 {
+		t.Fatalf("deferred functions run = %d, want 16", deferred)
+	}
+	// Exited goroutines are reaped asynchronously; give them a moment.
+	for i := 0; i < 100 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines after Close = %d, want at most %d", n, base)
 	}
 }
 
@@ -516,5 +559,66 @@ func TestYieldOrdersBehindSameTimeEvents(t *testing.T) {
 	}
 	if len(order) != 2 || order[0] != "event" || order[1] != "proc" {
 		t.Fatalf("order = %v", order)
+	}
+}
+
+// TestProcPanicReachesRunCaller checks that a panic in process code
+// surfaces from Run as a recoverable panic that names the process.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("healthy", func(p *Proc) { p.Delay(100) })
+	k.Spawn("buggy", func(p *Proc) {
+		p.Delay(10)
+		panic("model bug")
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		k.Run()
+	}()
+	msg, ok := got.(string)
+	if !ok || !strings.Contains(msg, `process "buggy" panicked`) || !strings.Contains(msg, "model bug") {
+		t.Fatalf("recovered %v, want a panic naming process \"buggy\"", got)
+	}
+	if k.Now() != 10 {
+		t.Fatalf("Now = %d, want 10 (the time of the panic)", k.Now())
+	}
+	k.Close()
+}
+
+// TestSameTimeWakeupsResumeInSeqOrder checks that processes woken at one
+// virtual time resume in the order their wake-ups were scheduled, across
+// every way a process can be woken.
+func TestSameTimeWakeupsResumeInSeqOrder(t *testing.T) {
+	k := NewKernel()
+	c := NewCond(k)
+	var order []string
+	note := func(p *Proc) { order = append(order, p.Name()) }
+	// Waiters queue on c in spawn order; the Broadcast at t=10 wakes them
+	// behind the Delay wake-ups of d0 and d1 scheduled before it.
+	for i := 0; i < 3; i++ {
+		k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+			c.Wait(p)
+			note(p)
+		})
+	}
+	for i := 0; i < 2; i++ {
+		k.Spawn(fmt.Sprintf("d%d", i), func(p *Proc) {
+			p.Delay(10)
+			note(p)
+		})
+	}
+	k.At(10, func() { c.Broadcast() })
+	k.Spawn("y", func(p *Proc) {
+		p.Delay(10)
+		p.Yield()
+		note(p)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "d0 d1 w0 w1 w2 y"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("resume order = %q, want %q", got, want)
 	}
 }
