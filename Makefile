@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint cover covercheck verify figures bench sweep timeline soak clean
+.PHONY: all build test race vet lint cover covercheck verify figures bench sweep timeline soak fuzz clean
 
 all: build
 
@@ -129,8 +129,17 @@ covercheck: build
 		exit 1; \
 	fi
 
-verify: lint test race covercheck timeline soak
-	@echo "verify tier green: lint + test + race + covercheck + timeline + soak"
+verify: lint test race covercheck timeline soak fuzz
+	@echo "verify tier green: lint + test + race + covercheck + timeline + soak + fuzz"
+
+# Fuzz tier: run the page-sparse bank against a dense reference for a
+# fixed time budget. The checked-in corpus under
+# internal/scramnet/testdata/fuzz already replays in tier-1; this tier
+# searches past it. A failing input is written to that directory, where
+# tier-1 then replays it as a regression case.
+fuzz: build
+	$(GO) test -run '^$$' -fuzz '^FuzzBank$$' -fuzztime 20s ./internal/scramnet
+	@echo "fuzz tier green: FuzzBank found no divergence in 20s"
 
 # Robustness soak tier: the multi-seed fault + liveness battery under
 # the race detector. Each seed generates a script mixing loss windows

@@ -12,7 +12,8 @@ import (
 )
 
 // NIC is one node's SCRAMNet interface card: a full replica of the
-// shared memory bank, a host bus attachment, and a ring link.
+// shared memory bank (held page-sparse, see bank), a host bus
+// attachment, and a ring link.
 type NIC struct {
 	net *Network
 	id  int
@@ -20,7 +21,7 @@ type NIC struct {
 	// it equals id on a flat ring and the global host number in a
 	// hierarchy.
 	ownerID int
-	mem     []byte
+	mem     bank
 	bus     *pci.Bus
 
 	link      *sim.Server // outgoing ring link (local + transit traffic)
@@ -118,7 +119,7 @@ func (nic *NIC) RingCuts() int { return nic.net.cuts }
 func (nic *NIC) NetworkConfig() Config { return nic.net.cfg }
 
 // Size returns the replicated memory size in bytes.
-func (nic *NIC) Size() int { return len(nic.mem) }
+func (nic *NIC) Size() int { return nic.mem.size }
 
 // Stats returns a copy of the card's counters.
 func (nic *NIC) Stats() Stats { return nic.stats }
@@ -166,14 +167,14 @@ func (nic *NIC) DrainBound() sim.Time {
 }
 
 func (nic *NIC) checkRange(off, n int) {
-	if off < 0 || n < 0 || off+n > len(nic.mem) {
-		panic(fmt.Sprintf("scramnet: access [%d,%d) outside %d-byte bank", off, off+n, len(nic.mem)))
+	if off < 0 || n < 0 || off+n > nic.mem.size {
+		panic(fmt.Sprintf("scramnet: access [%d,%d) outside %d-byte bank", off, off+n, nic.mem.size))
 	}
 }
 
 // apply installs a remote write into the local bank (called by the ring).
 func (nic *NIC) apply(pkt *packet) {
-	copy(nic.mem[pkt.off:], pkt.data)
+	nic.mem.write(pkt.off, pkt.data)
 	nic.stats.PacketsApplied++
 	nic.im.applied.Inc()
 	nic.net.tracer.EmitMsg(nic.net.k.Now(), trace.Ring, nic.id, "apply", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
@@ -199,7 +200,7 @@ func (nic *NIC) apply(pkt *packet) {
 // Not an "apply" for accounting purposes — the trace/metrics identity
 // (apply events == ring.packets_applied) counts remote applies only.
 func (nic *NIC) stripApply(pkt *packet) {
-	copy(nic.mem[pkt.off:], pkt.data)
+	nic.mem.write(pkt.off, pkt.data)
 	nic.net.tracer.EmitMsg(nic.net.k.Now(), trace.Spin, nic.id, "strip-apply", pkt.msg, pkt.span, "off=%#x len=%d", pkt.off, len(pkt.data))
 }
 
@@ -249,9 +250,9 @@ func (nic *NIC) transit(pkt *packet) (v spin.Verdict, cost sim.Duration, span tr
 	ctx := &spin.HandlerCtx{
 		Node: nic.id,
 		Now:  net.k.Now(),
-		Bank: func(off, n int) []byte {
-			nic.checkRange(off, n)
-			return nic.mem[off : off+n]
+		BankWord: func(off int) uint32 {
+			nic.checkRange(off, 4)
+			return nic.mem.word(off)
 		},
 		InjectHook: func(off int, data []byte) { nic.handlerInject(off, data, pkt) },
 	}
@@ -288,7 +289,7 @@ func (nic *NIC) handlerInject(off int, data []byte, cause *packet) {
 	nic.checkRange(off, len(data))
 	nic.checkWriter(off, len(data))
 	data = append([]byte(nil), data...)
-	copy(nic.mem[off:], data)
+	nic.mem.write(off, data)
 	nic.net.inject(&packet{origin: nic.id, off: off, data: data, nicOrigin: true, msg: cause.msg, parent: cause.span})
 }
 
@@ -298,7 +299,7 @@ func (nic *NIC) handlerInject(off int, data []byte, cause *packet) {
 // is updated immediately, as for a host write. msg/parent carry the
 // originating packet's trace attribution across the bridge.
 func (nic *NIC) injectForwarded(off int, data []byte, interrupt bool, msg uint64, parent trace.SpanID) {
-	copy(nic.mem[off:], data)
+	nic.mem.write(off, data)
 	nic.txBacklog += len(data)
 	nic.net.inject(&packet{origin: nic.id, off: off, data: data, interrupt: interrupt, msg: msg, parent: parent})
 }
@@ -353,7 +354,7 @@ func (nic *NIC) writeWord(p *sim.Proc, off int, v uint32, intr bool) {
 	nic.bus.PIOWrite(p, 1)
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	copy(nic.mem[off:], b[:])
+	nic.mem.write(off, b[:])
 	nic.send(p, off, b[:], intr, nil)
 }
 
@@ -363,7 +364,7 @@ func (nic *NIC) writeWord(p *sim.Proc, off int, v uint32, intr bool) {
 func (nic *NIC) ReadWord(p *sim.Proc, off int) uint32 {
 	nic.checkRange(off, 4)
 	nic.bus.PIORead(p, 1)
-	return binary.LittleEndian.Uint32(nic.mem[off:])
+	return nic.mem.word(off)
 }
 
 // Write copies data into the bank at off with PIO word writes and
@@ -375,7 +376,7 @@ func (nic *NIC) Write(p *sim.Proc, off int, data []byte) {
 	}
 	nic.checkRange(off, len(data))
 	nic.checkWriter(off, len(data))
-	copy(nic.mem[off:], data)
+	nic.mem.write(off, data)
 	nic.send(p, off, data, false, func(chunk int) {
 		nic.bus.PIOWrite(p, pci.WordsFor(chunk))
 	})
@@ -391,7 +392,7 @@ func (nic *NIC) WriteDMA(p *sim.Proc, off int, data []byte) {
 	}
 	nic.checkRange(off, len(data))
 	nic.checkWriter(off, len(data))
-	copy(nic.mem[off:], data)
+	nic.mem.write(off, data)
 	cfg := nic.bus.Config()
 	nic.bus.CountDMABurst(len(data))
 	p.Delay(cfg.DMASetup)
@@ -419,7 +420,7 @@ func (nic *NIC) ReadWords(p *sim.Proc, off int, dst []uint32) {
 	nic.checkRange(off, 4*len(dst))
 	nic.bus.PIOReadBurst(p, len(dst))
 	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint32(nic.mem[off+4*i:])
+		dst[i] = nic.mem.word(off + 4*i)
 	}
 }
 
@@ -430,7 +431,7 @@ func (nic *NIC) Read(p *sim.Proc, off int, buf []byte) {
 	}
 	nic.checkRange(off, len(buf))
 	nic.bus.PIORead(p, pci.WordsFor(len(buf)))
-	copy(buf, nic.mem[off:])
+	nic.mem.read(off, buf)
 }
 
 // ReadDMA copies n bytes from the local bank into buf using the DMA
@@ -441,14 +442,14 @@ func (nic *NIC) ReadDMA(p *sim.Proc, off int, buf []byte) {
 	}
 	nic.checkRange(off, len(buf))
 	nic.bus.DMA(p, len(buf))
-	copy(buf, nic.mem[off:])
+	nic.mem.read(off, buf)
 }
 
 // Peek returns bank bytes without charging bus time. It is for tests and
 // invariant checks only, never for modeled software paths.
 func (nic *NIC) Peek(off, n int) []byte {
 	nic.checkRange(off, n)
-	return append([]byte(nil), nic.mem[off:off+n]...)
+	return nic.mem.peek(off, n)
 }
 
 // EnableInterrupts turns interrupt delivery on or off and installs the

@@ -320,7 +320,7 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 			net:     n,
 			id:      i,
 			ownerID: i,
-			mem:     make([]byte, cfg.MemBytes),
+			mem:     bank{size: cfg.MemBytes},
 			bus:     pci.New(k, cfg.Bus),
 			link:    sim.NewServer(k),
 			txDrain: sim.NewCond(k),

@@ -75,9 +75,18 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 // wakeAt schedules p to resume at time t. The wake-up is a single event
-// carrying p itself, profiled under the "proc" kind.
+// carrying p itself, profiled under the "proc" kind, and reuses a fired
+// wake-up from the kernel's free list when one is available.
 func (k *Kernel) wakeAt(t Time, p *Proc) {
-	k.push(&event{t: t, proc: p, kind: "proc"})
+	var ev *event
+	if n := len(k.free); n > 0 {
+		ev = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{t: t, proc: p, kind: "proc"}
+	k.push(ev)
 }
 
 // handoff transfers control to p until it blocks or terminates.

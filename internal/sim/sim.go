@@ -138,6 +138,10 @@ type Kernel struct {
 	closed   bool
 	executed int64
 	prof     *Profiler
+	// free holds fired wake-up events for wakeAt to reuse. Only
+	// wake-ups are recycled: no handle to one ever leaves the heap,
+	// whereas At/Timer events are handles their callers keep.
+	free []*event
 }
 
 // NewKernel returns a kernel with the clock at time zero.
@@ -240,6 +244,10 @@ func (k *Kernel) step() bool {
 			k.prof.record(kindOf(ev), time.Since(t0).Nanoseconds())
 		} else {
 			k.fire(ev)
+		}
+		if ev.proc != nil {
+			ev.proc = nil
+			k.free = append(k.free, ev)
 		}
 		return true
 	}

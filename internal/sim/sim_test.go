@@ -622,3 +622,20 @@ func TestSameTimeWakeupsResumeInSeqOrder(t *testing.T) {
 		t.Fatalf("resume order = %q, want %q", got, want)
 	}
 }
+
+// TestDelayLoopAllocatesNothing checks that a process sleeping in a
+// loop reaches a steady state with no allocation per resume: each
+// fired wake-up event is recycled for the next Delay.
+func TestDelayLoopAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	k.SpawnDaemon("sleeper", func(p *Proc) {
+		for {
+			p.Delay(1)
+		}
+	})
+	defer k.Close()
+	allocs := testing.AllocsPerRun(1000, func() { k.RunFor(1) })
+	if allocs != 0 {
+		t.Fatalf("Delay loop allocates %.2f objects per resume, want 0", allocs)
+	}
+}

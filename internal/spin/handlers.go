@@ -216,7 +216,7 @@ func (r *Reducer) OnTransit(ctx *HandlerCtx, pkt Packet) Verdict {
 			return Forward
 		}
 		for i := 0; i < n; i += 4 {
-			c := word(ctx.Bank(r.ContribOff+rel+i, 4))
+			c := ctx.BankWord(r.ContribOff + rel + i)
 			putWord(pkt.Data[i:], r.st.op.Combine(word(pkt.Data[i:]), c))
 		}
 		r.st.combined += n
@@ -288,7 +288,7 @@ func (a *EarlyAck) OnTransit(ctx *HandlerCtx, pkt Packet) Verdict {
 	if ctx.Overrun() {
 		return Forward
 	}
-	diff := word(pkt.Data) ^ word(ctx.Bank(a.FlagsOff, 4))
+	diff := word(pkt.Data) ^ ctx.BankWord(a.FlagsOff)
 	if diff == 0 {
 		return Forward
 	}

@@ -85,17 +85,19 @@ type Packet struct {
 }
 
 // HandlerCtx is the per-transit execution context handed to handlers.
-// The hardware hooks (Bank, InjectHook) are wired by the NIC before
+// The hardware hooks (BankWord, InjectHook) are wired by the NIC before
 // each run; handlers must not retain the context across calls.
 type HandlerCtx struct {
 	// Node is the transit node the handler executes on.
 	Node int
 	// Now is the virtual time of the transit.
 	Now sim.Time
-	// Bank reads n bytes of the local replicated bank at off without
-	// charging time — handler memory accesses are on-card, not across
-	// the host bus. The returned slice aliases the bank: read-only.
-	Bank func(off, n int) []byte
+	// BankWord reads the little-endian 32-bit word at off in the local
+	// replicated bank without charging time — handler memory accesses
+	// are on-card, not across the host bus. It returns a value, never a
+	// view of the bank, so a handler cannot write the replica behind the
+	// ring's back; its only way to change memory is Inject.
+	BankWord func(off int) uint32
 	// InjectHook is the hardware hook behind Inject: it posts a
 	// NIC-originated ring write immediately. Handlers never call it
 	// directly — they go through Inject, which stages the write until
