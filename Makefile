@@ -73,73 +73,38 @@ METRICS_COVER_FLOOR := 85.0
 LIVENESS_COVER_FLOOR := 85.0
 FAULT_COVER_FLOOR := 80.0
 
+# pkg:floor pairs checked by covercheck, one per floor above.
+COVER_FLOORS := mpi:$(MPI_COVER_FLOOR) spin:$(SPIN_COVER_FLOOR) \
+	trace:$(TRACE_COVER_FLOOR) metrics:$(METRICS_COVER_FLOOR) \
+	liveness:$(LIVENESS_COVER_FLOOR) fault:$(FAULT_COVER_FLOOR)
+
 covercheck: build
-	@$(GO) test -coverprofile=.cover.mpi.out ./internal/mpi > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.mpi.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.mpi.out; \
-	if awk "BEGIN {exit !($$pct >= $(MPI_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/mpi statement coverage $$pct% (floor $(MPI_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/mpi statement coverage $$pct% fell below the $(MPI_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
-	@$(GO) test -coverprofile=.cover.spin.out ./internal/spin > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.spin.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.spin.out; \
-	if awk "BEGIN {exit !($$pct >= $(SPIN_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/spin statement coverage $$pct% (floor $(SPIN_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/spin statement coverage $$pct% fell below the $(SPIN_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
-	@$(GO) test -coverprofile=.cover.trace.out ./internal/trace > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.trace.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.trace.out; \
-	if awk "BEGIN {exit !($$pct >= $(TRACE_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/trace statement coverage $$pct% (floor $(TRACE_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/trace statement coverage $$pct% fell below the $(TRACE_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
-	@$(GO) test -coverprofile=.cover.metrics.out ./internal/metrics > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.metrics.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.metrics.out; \
-	if awk "BEGIN {exit !($$pct >= $(METRICS_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/metrics statement coverage $$pct% (floor $(METRICS_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/metrics statement coverage $$pct% fell below the $(METRICS_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
-	@$(GO) test -coverprofile=.cover.liveness.out ./internal/liveness > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.liveness.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.liveness.out; \
-	if awk "BEGIN {exit !($$pct >= $(LIVENESS_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/liveness statement coverage $$pct% (floor $(LIVENESS_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/liveness statement coverage $$pct% fell below the $(LIVENESS_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
-	@$(GO) test -coverprofile=.cover.fault.out ./internal/fault > /dev/null
-	@pct=$$($(GO) tool cover -func=.cover.fault.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
-	rm -f .cover.fault.out; \
-	if awk "BEGIN {exit !($$pct >= $(FAULT_COVER_FLOOR))}"; then \
-		echo "covercheck green: internal/fault statement coverage $$pct% (floor $(FAULT_COVER_FLOOR)%)"; \
-	else \
-		echo "internal/fault statement coverage $$pct% fell below the $(FAULT_COVER_FLOOR)% floor"; \
-		exit 1; \
-	fi
+	@for pair in $(COVER_FLOORS); do \
+		pkg=$${pair%%:*}; floor=$${pair#*:}; \
+		$(GO) test -coverprofile=.cover.$$pkg.out ./internal/$$pkg > /dev/null || exit 1; \
+		pct=$$($(GO) tool cover -func=.cover.$$pkg.out | awk '/^total:/ {sub(/%/, "", $$3); print $$3}'); \
+		rm -f .cover.$$pkg.out; \
+		if awk "BEGIN {exit !($$pct >= $$floor)}"; then \
+			echo "covercheck green: internal/$$pkg statement coverage $$pct% (floor $$floor%)"; \
+		else \
+			echo "internal/$$pkg statement coverage $$pct% fell below the $$floor% floor"; \
+			exit 1; \
+		fi; \
+	done
 
 verify: lint test race covercheck timeline soak fuzz
 	@echo "verify tier green: lint + test + race + covercheck + timeline + soak + fuzz"
 
-# Fuzz tier: run the page-sparse bank against a dense reference for a
-# fixed time budget. The checked-in corpus under
-# internal/scramnet/testdata/fuzz already replays in tier-1; this tier
-# searches past it. A failing input is written to that directory, where
-# tier-1 then replays it as a regression case.
+# Fuzz tier: run the page-sparse bank against a dense reference, and
+# the kernel's event queue against a (time, push order) reference, each
+# for a fixed time budget. The checked-in corpora under each package's
+# testdata/fuzz already replay in tier-1; this tier searches past them.
+# A failing input is written to that directory, where tier-1 then
+# replays it as a regression case.
 fuzz: build
 	$(GO) test -run '^$$' -fuzz '^FuzzBank$$' -fuzztime 20s ./internal/scramnet
-	@echo "fuzz tier green: FuzzBank found no divergence in 20s"
+	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 20s ./internal/sim
+	@echo "fuzz tier green: FuzzBank and FuzzEventQueue found no divergence in 20s each"
 
 # Robustness soak tier: the multi-seed fault + liveness battery under
 # the race detector. Each seed generates a script mixing loss windows

@@ -177,7 +177,10 @@ func (nic *NIC) apply(pkt *packet) {
 	nic.mem.write(pkt.off, pkt.data)
 	nic.stats.PacketsApplied++
 	nic.im.applied.Inc()
-	nic.net.tracer.EmitMsg(nic.net.k.Now(), trace.Ring, nic.id, "apply", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
+	if tr := nic.net.tracer; tr != nil {
+		// Guarded so that an untraced hop does not box the arguments.
+		tr.EmitMsg(nic.net.k.Now(), trace.Ring, nic.id, "apply", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
+	}
 	if pkt.interrupt && nic.intrOn && nic.intrHandler != nil {
 		// Capture the handler at vectoring time: the host may disable
 		// or reconfigure interrupts during the dispatch latency, and

@@ -191,6 +191,20 @@ type packet struct {
 	msg    uint64
 	parent trace.SpanID
 	span   trace.SpanID
+
+	// Hop state (see Network.inject). nic is the station the packet is
+	// leaving or transiting, next the one it is travelling to; isolated
+	// and aged are the drop and strip decisions taken at departure;
+	// verdict, hspan and ran are the transit's handler outcome.
+	nic      *NIC
+	next     int
+	isolated bool
+	aged     bool
+	verdict  spin.Verdict
+	hspan    trace.SpanID
+	ran      bool
+	// depart, arrive and proceed are the packet's steps, bound once.
+	depart, arrive, proceed func()
 }
 
 // ownerTable tracks, per word offset, which host first wrote it
@@ -462,7 +476,10 @@ func (n *Network) assignOwner(node, off, size int) {
 func (n *Network) MemBytes() int { return n.cfg.MemBytes }
 
 // inject starts pkt from its origin: serialize on the origin's outgoing
-// link, then hop to the first downstream node.
+// link, then hop around the ring. A packet has exactly one pending ring
+// event at a time — a link serialization, a hop or a handler's cost —
+// so its three steps are bound to it once here and its hop state lives
+// in its own fields: a hop allocates nothing.
 func (n *Network) inject(pkt *packet) {
 	src := n.nics[pkt.origin]
 	src.stats.PacketsSent++
@@ -473,8 +490,21 @@ func (n *Network) inject(pkt *packet) {
 	// drop, or ring break ("pkt-end"), so the causal tree shows exactly
 	// how far each replication packet got.
 	pkt.span = n.tracer.BeginSpan(n.k.Now(), trace.Ring, pkt.origin, "inject", pkt.msg, pkt.parent, "off=%#x len=%d", pkt.off, len(pkt.data))
-	wire := n.wireTime(pkt)
-	src.link.Serve(wire, func() {
+	pkt.nic = src
+	pkt.depart = func() { n.depart(pkt) }
+	pkt.arrive = func() { n.arrive(pkt) }
+	pkt.proceed = func() { n.proceed(pkt) }
+	src.link.Serve(n.wireTime(pkt), pkt.depart)
+}
+
+// depart runs once pkt has serialized onto the outgoing link of station
+// pkt.nic and sends it towards the next live station.
+func (n *Network) depart(pkt *packet) {
+	from := pkt.nic.id
+	if pkt.hops == 0 {
+		// Leaving the origin: credit the host transmit FIFO, then the
+		// origin's own link decides whether the packet gets anywhere.
+		src := pkt.nic
 		if !pkt.nicOrigin {
 			src.txBacklog -= len(pkt.data)
 			src.txDrain.Broadcast()
@@ -495,13 +525,7 @@ func (n *Network) inject(pkt *packet) {
 			n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "crc-drop")
 			return
 		}
-		n.forward(pkt.origin, pkt)
-	})
-}
-
-// forward moves pkt from node `from` to the next live node, applying the
-// write there and continuing until the packet returns to its origin.
-func (n *Network) forward(from int, pkt *packet) {
+	}
 	next, hops, wrap, byp, err := n.route(from)
 	if err != nil {
 		n.nics[pkt.origin].stats.PacketsLost++
@@ -517,58 +541,68 @@ func (n *Network) forward(from int, pkt *packet) {
 	if wrap > 0 {
 		n.im.wrapHops.Add(int64(wrap))
 	}
-	aged := pkt.hops >= n.cfg.Nodes
+	pkt.next = next
+	pkt.aged = pkt.hops >= n.cfg.Nodes
 	// A single-node arc wraps the packet straight back to the station
 	// it just left; unless that station is the origin (normal strip),
 	// the origin sits across a cut and can never strip it — drop it.
-	isolated := next == from && next != pkt.origin
-	n.k.AfterKind(sim.Duration(hops+wrap)*n.cfg.HopDelay, "ring", func() {
-		if isolated {
-			n.nics[pkt.origin].stats.PacketsLost++
-			n.nics[pkt.origin].im.crcDrops.Inc()
-			n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "isolated node=%d", next)
-			return
+	pkt.isolated = next == from && next != pkt.origin
+	n.k.AfterKind(sim.Duration(hops+wrap)*n.cfg.HopDelay, "ring", pkt.arrive)
+}
+
+// arrive lands pkt at station pkt.next: it is dropped, stripped, or
+// handed to the station's in-network handlers.
+func (n *Network) arrive(pkt *packet) {
+	next := pkt.next
+	if pkt.isolated {
+		n.nics[pkt.origin].stats.PacketsLost++
+		n.nics[pkt.origin].im.crcDrops.Inc()
+		n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "isolated node=%d", next)
+		return
+	}
+	if next == pkt.origin || pkt.aged {
+		// Stripped by the source after a full revolution — or aged
+		// out after as many hops, which is what removes a packet
+		// whose origin was optically bypassed while it circulated.
+		// A handler-rewritten packet is applied to the origin's own
+		// bank first: the strip is how the initiator of a streaming
+		// reduction observes the fully combined value.
+		if pkt.rewritten && next == pkt.origin {
+			n.nics[next].stripApply(pkt)
 		}
-		if next == pkt.origin || aged {
-			// Stripped by the source after a full revolution — or aged
-			// out after as many hops, which is what removes a packet
-			// whose origin was optically bypassed while it circulated.
-			// A handler-rewritten packet is applied to the origin's own
-			// bank first: the strip is how the initiator of a streaming
-			// reduction observes the fully combined value.
-			if pkt.rewritten && next == pkt.origin {
-				n.nics[next].stripApply(pkt)
-			}
-			n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "strip hops=%d", pkt.hops)
-			return
-		}
-		nic := n.nics[next]
-		// In-network handlers run before the local apply and the
-		// forward decision; their cycle cost occupies the transit point
-		// for real virtual time before the packet progresses.
-		verdict, cost, hspan, ran := nic.transit(pkt)
-		proceed := func() {
-			if ran {
-				n.tracer.EndSpan(n.k.Now(), trace.Spin, nic.id, "handler-end", hspan, pkt.msg, "verdict=%s", verdict)
-			}
-			if verdict != spin.Steer {
-				nic.apply(pkt)
-			}
-			if verdict == spin.Consume {
-				n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "consumed node=%d hops=%d", nic.id, pkt.hops)
-				return
-			}
-			// Transit: the packet occupies this node's outgoing link too.
-			nic.link.Serve(n.wireTime(pkt), func() {
-				n.forward(next, pkt)
-			})
-		}
-		if cost > 0 {
-			n.k.AfterKind(cost, "ring", proceed)
-		} else {
-			proceed()
-		}
-	})
+		n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "strip hops=%d", pkt.hops)
+		return
+	}
+	pkt.nic = n.nics[next]
+	// In-network handlers run before the local apply and the forward
+	// decision; their cycle cost occupies the transit point for real
+	// virtual time before the packet progresses.
+	var cost sim.Duration
+	pkt.verdict, cost, pkt.hspan, pkt.ran = pkt.nic.transit(pkt)
+	if cost > 0 {
+		n.k.AfterKind(cost, "ring", pkt.proceed)
+	} else {
+		n.proceed(pkt)
+	}
+}
+
+// proceed applies pkt at station pkt.nic once its handlers' cost has
+// elapsed, then either consumes it there or serializes it onto the
+// station's outgoing link.
+func (n *Network) proceed(pkt *packet) {
+	nic := pkt.nic
+	if pkt.ran {
+		n.tracer.EndSpan(n.k.Now(), trace.Spin, nic.id, "handler-end", pkt.hspan, pkt.msg, "verdict=%s", pkt.verdict)
+	}
+	if pkt.verdict != spin.Steer {
+		nic.apply(pkt)
+	}
+	if pkt.verdict == spin.Consume {
+		n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "consumed node=%d hops=%d", nic.id, pkt.hops)
+		return
+	}
+	// Transit: the packet occupies this node's outgoing link too.
+	nic.link.Serve(n.wireTime(pkt), pkt.depart)
 }
 
 // SetSingleWriterCheck toggles the single-writer assertion at run time;

@@ -351,3 +351,34 @@ func TestHopDelayScalesWithDistance(t *testing.T) {
 		}
 	}
 }
+
+// writeAllocs reports the steady-state allocations of one 4-byte Write
+// on an n-node ring, from the host call until every copy is stripped.
+func writeAllocs(t *testing.T, nodes int) float64 {
+	k, n := newNet(t, nodes)
+	kick := sim.NewCond(k)
+	data := []byte{1, 2, 3, 4}
+	k.SpawnDaemon("writer", func(p *sim.Proc) {
+		for {
+			kick.Wait(p)
+			n.NIC(0).Write(p, 4096, data)
+		}
+	})
+	defer k.Close()
+	drain := sim.Duration(nodes) * 10 * sim.Microsecond
+	return testing.AllocsPerRun(200, func() {
+		kick.Signal()
+		k.RunFor(drain)
+	})
+}
+
+// TestWriteAllocatesPerPacketNotPerHop checks that a ring hop allocates
+// nothing: one Write costs the same allocations on a 64-node ring as on
+// a 4-node one, although its packet makes 16 times as many hops.
+func TestWriteAllocatesPerPacketNotPerHop(t *testing.T) {
+	small, large := writeAllocs(t, 4), writeAllocs(t, 64)
+	t.Logf("allocations per Write: %.1f on 4 nodes, %.1f on 64 nodes", small, large)
+	if large > small {
+		t.Fatalf("one Write allocates %.1f objects on a 64-node ring, %.1f on a 4-node ring: a hop allocates", large, small)
+	}
+}

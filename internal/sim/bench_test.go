@@ -125,3 +125,23 @@ func BenchmarkSpawn(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkLockstepPollers is the ring64-mixed shape: 64 procs that all
+// poll with the same Delay, so every wake-up instant holds a 64-event
+// run of same-time resumes. One op is one resume.
+func BenchmarkLockstepPollers(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel()
+	const procs = 64
+	for i := 0; i < procs; i++ {
+		k.Spawn(fmt.Sprintf("poller%d", i), func(p *Proc) {
+			for j := 0; j < b.N/procs+1; j++ {
+				p.Delay(250)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

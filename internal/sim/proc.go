@@ -74,18 +74,11 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// wakeAt schedules p to resume at time t. The wake-up is a single event
-// carrying p itself, profiled under the "proc" kind, and reuses a fired
-// wake-up from the kernel's free list when one is available.
+// wakeAt schedules p to resume at time t. The wake-up is a single
+// pooled event carrying p itself, profiled under the "proc" kind.
 func (k *Kernel) wakeAt(t Time, p *Proc) {
-	var ev *event
-	if n := len(k.free); n > 0 {
-		ev = k.free[n-1]
-		k.free = k.free[:n-1]
-	} else {
-		ev = new(event)
-	}
-	*ev = event{t: t, proc: p, kind: "proc"}
+	ev := k.pooledEvent(t, "proc")
+	ev.proc = p
 	k.push(ev)
 }
 
@@ -157,8 +150,11 @@ func (c *Cond) Wait(p *Proc) {
 // WaitTimeout blocks p until the condition is signaled or d elapses.
 // It reports true if woken by a signal and false on timeout.
 func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
+	if d < 0 {
+		panic("sim: negative delay")
+	}
 	fired := false
-	timer := c.k.AfterKind(d, "proc", func() {
+	timer := c.k.handle(c.k.now.Add(d), "proc", func() {
 		fired = true
 		c.remove(p)
 		c.k.handoff(p)

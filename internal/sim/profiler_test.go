@@ -137,7 +137,7 @@ func TestProfilerCanceledNotCounted(t *testing.T) {
 	prof := NewProfiler()
 	k := NewKernel()
 	k.SetProfiler(prof)
-	tm := k.AfterKind(10, "ring", func() { t.Error("canceled event fired") })
+	tm := k.After(10, func() { t.Error("canceled event fired") })
 	tm.Stop()
 	k.After(20, func() {})
 	if err := k.Run(); err != nil {

@@ -29,6 +29,9 @@ func (q *Queue[T]) TryPop() (T, bool) {
 		return zero, false
 	}
 	v := q.items[0]
+	// Clear the vacated slot so the backing array does not keep a
+	// popped item reachable.
+	q.items[0] = zero
 	q.items = q.items[1:]
 	return v, true
 }
@@ -78,7 +81,8 @@ type Server struct {
 func NewServer(k *Kernel) *Server { return &Server{k: k} }
 
 // Serve enqueues a job of the given service duration and invokes done
-// (which may be nil) at its completion time. It returns the completion
+// (which may be nil) at its completion time, from an event that cannot
+// be canceled and is recycled once it fires. It returns the completion
 // time.
 func (s *Server) Serve(service Duration, done func()) Time {
 	start := s.k.now
@@ -88,7 +92,7 @@ func (s *Server) Serve(service Duration, done func()) Time {
 	finish := start.Add(service)
 	s.busyUntil = finish
 	if done != nil {
-		s.k.At(finish, done)
+		s.k.AtKind(finish, "", done)
 	}
 	return finish
 }

@@ -17,7 +17,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -63,19 +62,24 @@ func (d Duration) String() string {
 }
 
 type event struct {
-	t   Time
-	seq uint64
+	t Time
+	// next links the events of one run (see Kernel.runs) in push order.
+	next *event
 	// An event either runs fn or, when proc is set, resumes that
 	// process: a wake-up needs no closure of its own.
 	fn   func()
 	proc *Proc
 	// done marks an event that fired or was canceled. Canceled events
-	// stay in the heap but are skipped when popped.
+	// stay in their run but are skipped when reached.
 	done bool
 	// observer events (periodic monitors: metrics streams, heartbeat
 	// tickers) are invisible to Pending, so several observers never keep
 	// each other — or a finished simulation — alive.
 	observer bool
+	// pooled marks an event no caller holds a handle to (a wake-up, an
+	// AtKind/AfterKind callback, a Server completion): once fired it
+	// goes back on the kernel's free list.
+	pooled bool
 	// kind labels the event for the self-profiler (AtKind/AfterKind);
 	// empty means the generic "event" kind ("observer" when observer).
 	kind string
@@ -92,29 +96,23 @@ func kindOf(ev *event) string {
 	return "event"
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
+// run is one slot of the kernel's queue: the events pushed back to back
+// for instant t, linked from head, keyed by the sequence number of the
+// first of them.
+type run struct {
+	t    Time
+	seq  uint64
+	head *event
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
+
+func (r *run) before(o *run) bool {
+	return r.t < o.t || r.t == o.t && r.seq < o.seq
 }
 
 // Timer is a handle to a scheduled event that can be canceled before it
 // fires. Canceling a timer that already fired is a no-op. The handle is
-// the event itself, so scheduling allocates once.
+// the event itself, so scheduling allocates once, and a handle event is
+// never recycled.
 type Timer event
 
 // Stop cancels the timer. It reports whether the event had not yet fired
@@ -129,18 +127,33 @@ func (t *Timer) Stop() bool {
 
 // Kernel is a discrete-event simulation engine. The zero value is not
 // usable; call NewKernel.
+//
+// The queue is a 4-ary min-heap of runs. A push joins the run of the
+// previous push when both are for the same instant and that run is still
+// queued; otherwise it opens a new run. Only the newest run can grow, so
+// every event of an older run precedes every event of a newer run for
+// the same instant, and popping run by run, first in first out within a
+// run, fires events in exactly (time, push order). Pollers stepping in
+// lockstep thus cost one heap operation per instant, not one per event.
 type Kernel struct {
-	now      Time
-	seq      uint64
-	events   eventHeap
+	now  Time
+	seq  uint64
+	runs []run
+	// cur is the rest of the run being fired. It is at now and ahead
+	// of every queued run.
+	cur *event
+	// open is the newest event while its run is still queued, nil
+	// otherwise; openSeq is that run's key.
+	open     *event
+	openSeq  uint64
 	procs    []*Proc
 	live     int
 	closed   bool
 	executed int64
 	prof     *Profiler
-	// free holds fired wake-up events for wakeAt to reuse. Only
-	// wake-ups are recycled: no handle to one ever leaves the heap,
-	// whereas At/Timer events are handles their callers keep.
+	// free holds fired pooled events for reuse. Only events no caller
+	// holds a handle to are recycled, so a stale handle can never stop
+	// a reused event.
 	free []*event
 }
 
@@ -155,19 +168,96 @@ func (k *Kernel) Now() Time { return k.now }
 // At schedules fn to run at absolute time t (which must not be in the
 // past) and returns a cancelable handle.
 func (k *Kernel) At(t Time, fn func()) *Timer {
-	ev := &event{t: t, fn: fn}
+	return k.handle(t, "", fn)
+}
+
+// handle schedules a cancelable event that is never recycled.
+func (k *Kernel) handle(t Time, kind string, fn func()) *Timer {
+	ev := &event{t: t, fn: fn, kind: kind}
 	k.push(ev)
 	return (*Timer)(ev)
 }
 
-// push stamps ev with the next sequence number and queues it.
+// pooledEvent returns a handle-less event for t from the free list (or a new
+// one); the caller sets fn or proc and pushes it.
+func (k *Kernel) pooledEvent(t Time, kind string) *event {
+	var ev *event
+	if n := len(k.free); n > 0 {
+		ev = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.t, ev.kind, ev.pooled = t, kind, true
+	return ev
+}
+
+// push stamps ev with the next sequence number and queues it, joining
+// the open run when ev is for the same instant.
 func (k *Kernel) push(ev *event) {
 	if ev.t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", ev.t, k.now))
 	}
-	ev.seq = k.seq
+	seq := k.seq
 	k.seq++
-	heap.Push(&k.events, ev)
+	if k.open != nil && k.open.t == ev.t {
+		k.open.next = ev
+	} else {
+		k.openSeq = seq
+		k.pushRun(run{t: ev.t, seq: seq, head: ev})
+	}
+	k.open = ev
+}
+
+// pushRun adds r to the run heap.
+func (k *Kernel) pushRun(r run) {
+	k.runs = append(k.runs, r)
+	h := k.runs
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !r.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = r
+}
+
+// popRun removes the earliest run from the heap, closing it to pushes.
+func (k *Kernel) popRun() {
+	h := k.runs
+	if h[0].seq == k.openSeq {
+		k.open = nil
+	}
+	n := len(h) - 1
+	last := h[n]
+	h[n] = run{}
+	h = h[:n]
+	k.runs = h
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		m := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h[c].before(&h[m]) {
+				m = c
+			}
+		}
+		if !h[m].before(&last) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = last
 }
 
 // After schedules fn to run d from now.
@@ -199,18 +289,21 @@ func (k *Kernel) AfterObserver(d Duration, fn func()) *Timer {
 // AtKind schedules fn like At with a profiling label: when a Profiler
 // is installed, the event's wall-clock execution cost is attributed to
 // kind instead of the generic "event" bucket. The label changes nothing
-// else — ordering, Pending and the virtual clock are untouched.
-func (k *Kernel) AtKind(t Time, kind string, fn func()) *Timer {
-	tm := k.At(t, fn)
-	tm.kind = kind
-	return tm
+// else — ordering, Pending and the virtual clock are untouched. No
+// handle is returned, so the event cannot be canceled and is recycled
+// once it fires; use At or After for a cancelable event.
+func (k *Kernel) AtKind(t Time, kind string, fn func()) {
+	ev := k.pooledEvent(t, kind)
+	ev.fn = fn
+	k.push(ev)
 }
 
 // AfterKind schedules fn like After, labeled for the profiler.
-func (k *Kernel) AfterKind(d Duration, kind string, fn func()) *Timer {
-	tm := k.After(d, fn)
-	tm.kind = kind
-	return tm
+func (k *Kernel) AfterKind(d Duration, kind string, fn func()) {
+	if d < 0 {
+		panic("sim: negative delay")
+	}
+	k.AtKind(k.now.Add(d), kind, fn)
 }
 
 // SetProfiler installs (or, with nil, removes) a kernel self-profiler.
@@ -230,28 +323,32 @@ func (k *Kernel) Executed() int64 { return k.executed }
 // step executes the next pending event. It reports false when no events
 // remain.
 func (k *Kernel) step() bool {
-	for len(k.events) > 0 {
-		ev := heap.Pop(&k.events).(*event)
-		if ev.done {
-			continue
-		}
-		ev.done = true
-		k.now = ev.t
-		k.executed++
-		if k.prof != nil {
-			t0 := time.Now()
-			k.fire(ev)
-			k.prof.record(kindOf(ev), time.Since(t0).Nanoseconds())
-		} else {
-			k.fire(ev)
-		}
-		if ev.proc != nil {
-			ev.proc = nil
-			k.free = append(k.free, ev)
-		}
-		return true
+	ev := k.peek()
+	if ev == nil {
+		return false
 	}
-	return false
+	if ev != k.cur {
+		// ev heads the earliest queued run: the rest of that run
+		// becomes the one being fired.
+		k.popRun()
+	}
+	k.cur = ev.next
+	ev.next = nil
+	ev.done = true
+	k.now = ev.t
+	k.executed++
+	if k.prof != nil {
+		t0 := time.Now()
+		k.fire(ev)
+		k.prof.record(kindOf(ev), time.Since(t0).Nanoseconds())
+	} else {
+		k.fire(ev)
+	}
+	if ev.pooled {
+		*ev = event{}
+		k.free = append(k.free, ev)
+	}
+	return true
 }
 
 // fire executes a popped event: a process wake-up or a plain callback.
@@ -288,7 +385,7 @@ func (k *Kernel) Run() error {
 // clock to exactly t. Blocked processes are not a deadlock here: the
 // caller may schedule more work and resume.
 func (k *Kernel) RunUntil(t Time) {
-	for len(k.events) > 0 {
+	for {
 		if next := k.peek(); next == nil || next.t > t {
 			break
 		}
@@ -302,27 +399,55 @@ func (k *Kernel) RunUntil(t Time) {
 // RunFor runs the simulation for d virtual time from now.
 func (k *Kernel) RunFor(d Duration) { k.RunUntil(k.now.Add(d)) }
 
+// peek returns the next event to fire, or nil when none remains. It
+// drops canceled events from the front of the current run and of the
+// earliest queued run, and empty runs from the heap, so the result is
+// at the head of either k.cur or k.runs[0].
 func (k *Kernel) peek() *event {
-	for len(k.events) > 0 {
-		if k.events[0].done {
-			heap.Pop(&k.events)
-			continue
+	k.cur = skipDone(k.cur)
+	if k.cur != nil {
+		return k.cur
+	}
+	for len(k.runs) > 0 {
+		if head := skipDone(k.runs[0].head); head != nil {
+			k.runs[0].head = head
+			return head
 		}
-		return k.events[0]
+		k.popRun()
 	}
 	return nil
 }
 
-// Pending counts scheduled, non-canceled, non-observer events still in
-// the heap. A periodic observer (e.g. a metrics snapshot stream or a
+// skipDone unlinks canceled events from the front of a run and returns
+// its first live event.
+func skipDone(ev *event) *event {
+	for ev != nil && ev.done {
+		next := ev.next
+		ev.next = nil
+		ev = next
+	}
+	return ev
+}
+
+// Pending counts scheduled, non-canceled, non-observer events still
+// queued. A periodic observer (e.g. a metrics snapshot stream or a
 // heartbeat ticker) uses it to decide whether rescheduling itself would
 // keep an otherwise-finished simulation alive: when Pending is zero
 // inside a timer callback, every remaining event belongs to observers,
 // which all terminate themselves by the same test. Observers must
 // schedule with AtObserver/AfterObserver for this to hold.
 func (k *Kernel) Pending() int {
+	n := pendingIn(k.cur)
+	for i := range k.runs {
+		n += pendingIn(k.runs[i].head)
+	}
+	return n
+}
+
+// pendingIn counts the live non-observer events of one run.
+func pendingIn(ev *event) int {
 	n := 0
-	for _, ev := range k.events {
+	for ; ev != nil; ev = ev.next {
 		if !ev.done && !ev.observer {
 			n++
 		}

@@ -639,3 +639,45 @@ func TestDelayLoopAllocatesNothing(t *testing.T) {
 		t.Fatalf("Delay loop allocates %.2f objects per resume, want 0", allocs)
 	}
 }
+
+// TestQueueTryPopClearsSlot checks that a popped item is no longer
+// reachable from the queue's backing array.
+func TestQueueTryPopClearsSlot(t *testing.T) {
+	q := NewQueue[*int](NewKernel())
+	a, b := new(int), new(int)
+	q.Push(a)
+	q.Push(b)
+	backing := q.items
+	if v, ok := q.TryPop(); !ok || v != a {
+		t.Fatalf("TryPop = %v, %v; want the first item", v, ok)
+	}
+	if backing[0] != nil {
+		t.Fatal("popped item still referenced by the backing array")
+	}
+	if v, ok := q.Peek(); !ok || v != b {
+		t.Fatalf("Peek = %v, %v; want the second item", v, ok)
+	}
+}
+
+// TestServerServeAllocatesNothing checks that a steady-state Serve with
+// a prebuilt completion callback allocates nothing: its event comes
+// from the kernel's free list and goes back once it fires.
+func TestServerServeAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	s := NewServer(k)
+	n := 0
+	done := func() { n++ }
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Serve(10, done)
+		s.Serve(5, done)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Serve allocates %.2f objects per pair of jobs, want 0", allocs)
+	}
+	if n != 2*1001 {
+		t.Fatalf("done ran %d times, want %d", n, 2*1001)
+	}
+}

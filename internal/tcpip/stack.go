@@ -129,7 +129,8 @@ func (s *Stack) kernelLoop(p *sim.Proc) {
 				s.sendAck(in.src, pr)
 			case pr.ackTimer == nil:
 				src := in.src
-				pr.ackTimer = s.k.AfterKind(s.cfg.DelayedAck, "fabric", func() {
+				// A handle-bearing timer: sendAck cancels it.
+				pr.ackTimer = s.k.After(s.cfg.DelayedAck, func() {
 					pr.ackTimer = nil
 					s.sendAck(src, pr)
 				})
