@@ -30,12 +30,23 @@ vet:
 
 # Style tier: gofmt cleanliness plus vet. gofmt -l prints offending
 # files; any output fails the tier so an unformatted file cannot land.
+# The dead-package guard fails the tier when a package under internal/
+# that has non-test Go files is imported by no other package's code or
+# tests (its own tests do not count): such a package earns a caller or
+# is deleted. Test-only packages (no non-test files) are skipped.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
-	@echo "lint green: gofmt + vet clean"
+	@dead=$$($(GO) list -f '{{.ImportPath}} {{if .GoFiles}}lib{{else}}-{{end}}{{range .Imports}} {{.}}{{end}}{{range .TestImports}} {{.}}{{end}}{{range .XTestImports}} {{.}}{{end}}' ./... | \
+		awk '$$2 == "lib" && $$1 ~ /\/internal\// { lib[$$1] = 1 } \
+			{ for (i = 3; i <= NF; i++) if ($$i != $$1) used[$$i] = 1 } \
+			END { for (p in lib) if (!(p in used)) print p }' | sort); \
+	if [ -n "$$dead" ]; then \
+		echo "internal packages imported by no other package:"; echo "$$dead"; exit 1; \
+	fi
+	@echo "lint green: gofmt + vet clean, no dead internal packages"
 
 race:
 	$(GO) test -race ./...

@@ -210,11 +210,11 @@ func BenchmarkAblation_BarrierAlgorithms8(b *testing.B) {
 			var err error
 			switch algo {
 			case "mcast":
-				err = c.BarrierMcast(p)
+				err = c.Barrier(p, mpi.WithAlgorithm(mpi.Mcast))
 			case "tree":
-				err = c.BarrierTree(p)
+				err = c.Barrier(p, mpi.WithAlgorithm(mpi.Tree))
 			case "dissemination":
-				err = c.BarrierDissemination(p)
+				err = c.Barrier(p, mpi.WithAlgorithm(mpi.Dissemination))
 			}
 			if err != nil {
 				b.Error(err)

@@ -322,10 +322,11 @@ type RndvPipeline struct {
 
 // StreamAllreduce is the E12 measurement (EXPERIMENTS.md): the
 // completion latency of one Bytes-long 32-bit-lane sum allreduce across
-// Nodes ranks, (a) through Comm.AllreduceW's in-network fast path — the
-// vector circulates the ring once and every transit NIC's spin.Reducer
-// handler folds the local contribution in — and (b) through the
-// rank-side binomial tree over the identical RingOpFunc fold. Both runs
+// Nodes ranks, (a) through Comm.Allreduce's in-network fast path (Auto
+// with mpi.SumU32) — the vector circulates the ring once and every
+// transit NIC's spin.Reducer handler folds the local contribution in —
+// and (b) through the rank-side binomial tree (WithAlgorithm(Tree)) over
+// the identical SumU32 fold. Both runs
 // use the same substrate and cost model; the handler path additionally
 // pays HandlerCycles × scramnet.Config.HandlerCycleCost of in-network
 // compute, so the win is honest. SuspectFallback records the liveness

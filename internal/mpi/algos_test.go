@@ -24,7 +24,7 @@ func TestBarrierDisseminationSynchronizes(t *testing.T) {
 			if p.Now() > lastArrive {
 				lastArrive = p.Now()
 			}
-			if err := c.BarrierDissemination(p); err != nil {
+			if err := c.Barrier(p, mpi.WithAlgorithm(mpi.Dissemination)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -148,9 +148,9 @@ func TestDisseminationVsTreeLatency(t *testing.T) {
 		w.RunSPMD(k, func(p *sim.Proc, c *mpi.Comm) {
 			var err error
 			if dissem {
-				err = c.BarrierDissemination(p)
+				err = c.Barrier(p, mpi.WithAlgorithm(mpi.Dissemination))
 			} else {
-				err = c.BarrierTree(p)
+				err = c.Barrier(p, mpi.WithAlgorithm(mpi.Tree))
 			}
 			if err != nil {
 				t.Error(err)

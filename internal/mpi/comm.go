@@ -85,10 +85,12 @@ type Comm struct {
 	group []int // communicator rank -> world rank
 	rank  int   // my communicator rank
 	seq   uint32
-	// Release-tree re-plan state (select.go): the current plan epoch
-	// and, at a collective root, the suspect mask the epoch was cut for.
+	// Collective planner state (select.go): the current plan epoch;
+	// the suspect or partition mask it was cut for; and the reusable
+	// buffer the fixed and re-planned member orders are built in.
 	planEpoch    uint32
 	lastPlanMask []byte
+	order        []int
 }
 
 // Rank returns the caller's rank within the communicator.

@@ -14,9 +14,9 @@
 // Collective operations are built on point-to-point trees, as in stock
 // MPICH — except that, like the paper's modified MPICH, MPI_Bcast and
 // MPI_Barrier can instead use the BillBoard Protocol's single-step
-// multicast directly (Comm.BcastMcast / Comm.BarrierMcast, selected
-// automatically when the transport has native multicast and
-// Config.McastCollectives is set).
+// multicast directly (Comm.Bcast / Comm.Barrier with
+// WithAlgorithm(Mcast), selected automatically when the transport has
+// native multicast and Config.McastCollectives is set).
 //
 // Protocol notes. Messages at or below Config.EagerMax use the eager
 // protocol: one control packet carrying the envelope, followed by the

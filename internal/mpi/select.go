@@ -4,9 +4,7 @@ package mpi
 // entry point per collective — Barrier, Bcast, Allreduce — with the
 // algorithm chosen per call from an options list. Auto (the default)
 // selects from the membership view, the transport's capabilities, the
-// rank count, and the message size; the variant-suffixed methods the
-// package used to export (BarrierMcast, BcastTree, AllreduceW, ...)
-// survive only as thin deprecated wrappers over WithAlgorithm.
+// rank count, and the message size.
 //
 // Two mechanisms live here besides dispatch:
 //
@@ -16,22 +14,22 @@ package mpi
 //     SCRAMNet cards at each ring transit (the combining counter,
 //     PROTOCOL.md) instead of in rank-side poll trees.
 //
-//   - The membership-aware re-plan: on a transport with a failure
-//     detector, the tree release phase of Bcast/Barrier is re-planned
-//     around *suspected* members — the root fences the collective with
-//     a plan record (epoch + suspect mask) broadcast over the fixed
-//     tree, then the payload flows over a tree in which suspects hang
-//     off the root as leaves and forward to nobody. A falsely
-//     suspected member still receives and the result matches the
-//     all-alive run; a genuinely dead member surfaces as a
-//     DeadPeerError bounded by the detector's confirmation window,
-//     without having stalled any healthy member's subtree.
+//   - The collective planner: every tree collective is a member order
+//     from plan(view) walked by one binomial broadcast and one binomial
+//     gather. The view is the fixed rotation, the release tree
+//     re-planned around *suspected* members (a falsely suspected member
+//     still receives and the result matches the all-alive run; a
+//     genuinely dead one surfaces as a DeadPeerError bounded by the
+//     detector's confirmation window), or the quorum of a declared
+//     partition.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 
 	"repro/internal/liveness"
 	"repro/internal/sim"
@@ -166,26 +164,6 @@ func ringOpOf(op Op) spin.RingOp {
 	return ringOpTable[reflect.ValueOf(op).Pointer()]
 }
 
-// opOfRing is the inverse: the named host-side Op computing exactly
-// what the ring operator computes, nil for an invalid operator.
-func opOfRing(r spin.RingOp) Op {
-	switch r {
-	case spin.OpSumU32:
-		return SumU32
-	case spin.OpMaxU32:
-		return MaxU32
-	case spin.OpMinU32:
-		return MinU32
-	case spin.OpBOR:
-		return BorU32
-	case spin.OpBAND:
-		return BandU32
-	case spin.OpBXOR:
-		return BxorU32
-	}
-	return nil
-}
-
 // nicEligible reports whether the NIC combining substrate is usable
 // for this communicator at all: an in-network transport, and the world
 // communicator (the stream region is laid out for world ranks).
@@ -193,9 +171,9 @@ func (c *Comm) nicEligible() bool {
 	return c.eng.stream != nil && c.ctx == 1
 }
 
-// chooseHostBarrier is the host-side half of the barrier policy:
-// native multicast coordination when configured, else the tree.
-func (c *Comm) chooseHostBarrier() Algorithm {
+// chooseHost is the host-side policy of Barrier, Bcast and the
+// allreduce release: native multicast when configured, else the tree.
+func (c *Comm) chooseHost() Algorithm {
 	if c.eng.cfg.McastCollectives && c.eng.ep.NativeMcast() {
 		return Mcast
 	}
@@ -210,44 +188,41 @@ func (c *Comm) chooseHostBarrier() Algorithm {
 // is rank-uniform, so every member falls back together.
 func (c *Comm) Barrier(p *sim.Proc, opts ...CollectiveOption) error {
 	e := c.eng
-	if part, ok := e.partition(); ok {
-		if part.Minority {
-			return e.partitionErr(part)
-		}
-		if subs := c.quorumRanks(part); len(subs) < c.Size() {
-			span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier", 0, e.tracer.Parent(), "algo=quorum size=%d of %d", len(subs), c.Size())
-			e.tracer.PushParent(span)
-			err := c.barrierQuorum(p, part, subs)
-			e.tracer.PopParent()
-			e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier-end", span, 0, "err=%v", err)
-			return err
-		}
+	v, err := c.membership()
+	if err != nil {
+		return err
 	}
-	o := collectiveOpts(opts)
-	algo := o.Algorithm
-	if algo == Auto {
-		if c.nicEligible() {
-			algo = NICCombined
-		} else {
-			algo = c.chooseHostBarrier()
+	algo := collectiveOpts(opts).Algorithm
+	var span trace.SpanID
+	if v.subs != nil {
+		// A quorum barrier always runs the tree over the subgroup.
+		algo = Tree
+		span = e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier", 0, e.tracer.Parent(), "algo=quorum size=%d of %d", len(v.subs), c.Size())
+	} else {
+		if algo == Auto {
+			if c.nicEligible() {
+				algo = NICCombined
+			} else {
+				algo = c.chooseHost()
+			}
 		}
+		span = e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier", 0, e.tracer.Parent(), "algo=%v size=%d", algo, c.Size())
 	}
-	span := e.tracer.BeginSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier", 0, e.tracer.Parent(), "algo=%v size=%d", algo, c.Size())
 	e.tracer.PushParent(span)
-	err := c.runBarrier(p, algo)
+	err = c.runBarrier(p, v, algo)
 	e.tracer.PopParent()
 	e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "barrier-end", span, 0, "err=%v", err)
 	return err
 }
 
-func (c *Comm) runBarrier(p *sim.Proc, algo Algorithm) error {
+func (c *Comm) runBarrier(p *sim.Proc, v view, algo Algorithm) error {
 	switch algo {
 	case NICCombined:
-		return c.barrierNIC(p)
+		return c.barrierNIC(p, v)
 	case Mcast:
 		return c.barrierMcast(p)
 	case Tree:
-		return c.barrierTree(p)
+		return c.barrierTree(p, v)
 	case Dissemination:
 		return c.barrierDissemination(p)
 	}
@@ -261,10 +236,10 @@ func (c *Comm) runBarrier(p *sim.Proc, algo Algorithm) error {
 // rank-side gather tree. The transport declines collectively (same
 // verdict every rank) when the all-alive gate fails or a packet was
 // lost, and the barrier degrades to the host path.
-func (c *Comm) barrierNIC(p *sim.Proc) error {
+func (c *Comm) barrierNIC(p *sim.Proc, v view) error {
 	e := c.eng
 	if !c.nicEligible() {
-		return c.runBarrier(p, c.chooseHostBarrier())
+		return c.runBarrier(p, v, c.chooseHost())
 	}
 	var one, out [4]byte
 	binary.LittleEndian.PutUint32(one[:], ^uint32(0))
@@ -280,7 +255,7 @@ func (c *Comm) barrierNIC(p *sim.Proc) error {
 	}
 	e.stats.StreamFallbacks++
 	e.im.streamFalls.Inc()
-	return c.runBarrier(p, c.chooseHostBarrier())
+	return c.runBarrier(p, v, c.chooseHost())
 }
 
 // Bcast broadcasts buf (same length on all ranks) from root. Auto uses
@@ -288,38 +263,22 @@ func (c *Comm) barrierNIC(p *sim.Proc) error {
 // the binomial tree (re-planned around suspected members when a
 // failure detector runs).
 func (c *Comm) Bcast(p *sim.Proc, root int, buf []byte, opts ...CollectiveOption) error {
-	e := c.eng
-	if part, ok := e.partition(); ok {
-		if part.Minority {
-			return e.partitionErr(part)
-		}
-		if subs := c.quorumRanks(part); len(subs) < c.Size() {
-			if err := c.checkRank(root); err != nil {
-				return err
-			}
-			if part.Unreachable(c.group[root]) {
-				// The payload source itself is behind the cut: no quorum
-				// re-plan can produce it.
-				return e.partitionErr(part)
-			}
-			c.notePartitionPlan(p, part, subs, c.rank == root)
-			return c.bcastSub(p, subs, subIndex(subs, root), tagBcast, buf)
-		}
+	v, err := c.membership()
+	if err != nil {
+		return err
 	}
-	o := collectiveOpts(opts)
-	algo := o.Algorithm
-	if algo == Auto {
-		if c.eng.cfg.McastCollectives && c.eng.ep.NativeMcast() {
-			algo = Mcast
-		} else {
-			algo = Tree
-		}
+	algo := collectiveOpts(opts).Algorithm
+	switch {
+	case v.subs != nil:
+		algo = Tree // a quorum broadcast always runs the subgroup tree
+	case algo == Auto:
+		algo = c.chooseHost()
 	}
 	switch algo {
 	case Mcast:
 		return c.bcastMcast(p, root, buf)
 	case Tree:
-		return c.bcastTree(p, root, buf)
+		return c.bcastTree(p, v, root, buf)
 	}
 	return fmt.Errorf("%w: %v bcast", ErrBadAlgorithm, algo)
 }
@@ -331,29 +290,24 @@ func (c *Comm) Bcast(p *sim.Proc, root int, buf []byte, opts ...CollectiveOption
 // region, and the substrate is present; everything else runs the
 // Reduce+Bcast tree. Dissemination selects recursive doubling.
 func (c *Comm) Allreduce(p *sim.Proc, op Op, sendBuf, recvBuf []byte, opts ...CollectiveOption) error {
-	e := c.eng
-	if part, ok := e.partition(); ok {
-		if part.Minority {
-			return e.partitionErr(part)
-		}
-		if subs := c.quorumRanks(part); len(subs) < c.Size() {
-			return c.allreduceQuorum(p, part, subs, op, sendBuf, recvBuf)
-		}
+	v, err := c.membership()
+	if err != nil {
+		return err
 	}
-	o := collectiveOpts(opts)
-	algo := o.Algorithm
-	if algo == Auto {
-		if c.nicReduceEligible(op, sendBuf, recvBuf) {
-			algo = NICCombined
-		} else {
-			algo = Tree
-		}
+	algo := collectiveOpts(opts).Algorithm
+	switch {
+	case v.subs != nil:
+		algo = Tree // a quorum allreduce always runs the subgroup tree
+	case algo == Auto && c.nicReduceEligible(op, sendBuf, recvBuf):
+		algo = NICCombined
+	case algo == Auto:
+		algo = Tree
 	}
 	switch algo {
 	case NICCombined:
-		return c.allreduceNIC(p, op, sendBuf, recvBuf)
+		return c.allreduceNIC(p, v, op, sendBuf, recvBuf)
 	case Tree:
-		return c.allreduceTree(p, op, sendBuf, recvBuf)
+		return c.allreduceTree(p, v, op, sendBuf, recvBuf)
 	case Dissemination:
 		return c.allreduceRD(p, op, sendBuf, recvBuf)
 	}
@@ -376,9 +330,9 @@ func (c *Comm) nicReduceEligible(op Op, sendBuf, recvBuf []byte) bool {
 // allreduceNIC runs the streaming in-network reduction, degrading to
 // the tree when the transport declines (suspicion, loss, or timeout —
 // same verdict on every rank for the same round).
-func (c *Comm) allreduceNIC(p *sim.Proc, op Op, sendBuf, recvBuf []byte) error {
+func (c *Comm) allreduceNIC(p *sim.Proc, v view, op Op, sendBuf, recvBuf []byte) error {
 	if !c.nicReduceEligible(op, sendBuf, recvBuf) {
-		return c.allreduceTree(p, op, sendBuf, recvBuf)
+		return c.allreduceTree(p, v, op, sendBuf, recvBuf)
 	}
 	e := c.eng
 	ring := ringOpOf(op)
@@ -399,34 +353,153 @@ func (c *Comm) allreduceNIC(p *sim.Proc, op Op, sendBuf, recvBuf []byte) error {
 	}
 	e.stats.StreamFallbacks++
 	e.im.streamFalls.Inc()
-	return c.allreduceTree(p, op, sendBuf, recvBuf)
+	return c.allreduceTree(p, v, op, sendBuf, recvBuf)
 }
 
-// allreduceTree is Reduce to rank 0 followed by the host broadcast
-// (native multicast when configured, else the tree).
-func (c *Comm) allreduceTree(p *sim.Proc, op Op, sendBuf, recvBuf []byte) error {
-	if err := c.Reduce(p, 0, op, sendBuf, recvBuf); err != nil {
-		return err
-	}
-	if c.eng.cfg.McastCollectives && c.eng.ep.NativeMcast() {
-		return c.bcastMcast(p, 0, recvBuf)
-	}
-	return c.bcastTree(p, 0, recvBuf)
-}
-
-// --- Membership-aware tree re-plan -----------------------------------
+// --- One planner, two executors --------------------------------------
 //
-// A planned release tree (bcastTree and the barrier release) demotes
-// every member the root's failure detector holds in Suspect or Dead to
-// a leaf hanging directly off the root: suspects forward to nobody, so
-// a member that is about to be confirmed dead cannot stall a healthy
+// Every tree collective is a member order walked by one of two binomial
+// executors: bcast (order[0] roots a binomial tree over order[:h], then
+// feeds the leaves order[h:] itself) and gather (contributions flow
+// toward order[0], optionally folded with an Op). Membership views
+// differ only in the order plan hands the executor:
+//
+//   - fixed: the rotation [root, root+1, ...] mod n — MPICH's stock
+//     shape. Without a failure detector every tree uses it; with one it
+//     still carries the plan fence, Reduce and the barrier's arrival
+//     gather.
+//   - planned: the root, then the members its detector holds Alive in
+//     rank order, then the suspects (h = healthy count) — the release
+//     trees of Bcast, Barrier and Allreduce when a detector runs.
+//   - quorum: under a declared partition, the reachable members rotated
+//     to the root.
+//
+// With no suspects the fixed and planned orders still differ whenever
+// root ≠ 0, so the view, not the suspect set, picks the order.
+//
+// The planned view demotes every member the root's failure detector
+// holds in Suspect or Dead to a leaf: suspects forward to nobody, so a
+// member that is about to be confirmed dead cannot stall a healthy
 // subtree behind it. The plan is decided by the root alone and fenced
-// in-band — a plan record (epoch + suspect mask) rides the fixed-shape
-// tree ahead of the payload — so divergent per-rank membership views
-// cannot split the collective: every member routes by the carried
-// plan, not by its own view. The epoch increments each time the root's
-// suspect set changes (Engine.Stats().CollReplans, mpi.coll_replans),
-// marking re-plan generations in traces.
+// in-band — a plan record (epoch + suspect mask) rides the fixed tree
+// ahead of the payload — so divergent per-rank membership views cannot
+// split the collective: every member routes by the carried plan, not
+// by its own view. The epoch increments each time the root's suspect
+// set changes (Engine.Stats().CollReplans, mpi.coll_replans), marking
+// re-plan generations in traces.
+//
+// The quorum view needs no fence: every member derives it from its own
+// declared partition, which is safe because the declaration itself is
+// deterministic (hardware cut count plus a contiguous stable suspect
+// arc, converging on the shared heartbeat tick). The minority side
+// never reaches a tree: its members get a PartitionError at the entry
+// gate. Epoch bookkeeping still runs (notePartitionPlan) so re-plan
+// generations stay visible in traces and the post-heal fence sees the
+// mask change.
+
+// view is the membership a tree collective plans over: under a declared
+// partition that splits the communicator, the partition and its quorum
+// subs (the comm ranks on this side, ascending — the calling rank
+// always among them); otherwise subs is nil and the view is every
+// member.
+type view struct {
+	part liveness.PartitionInfo
+	subs []int
+}
+
+// membership is the partition gate every collective opens with: a
+// minority member is fenced with a PartitionError, a majority member of
+// a split communicator gets the quorum view.
+func (c *Comm) membership() (view, error) {
+	e := c.eng
+	part, ok := e.partition()
+	if !ok {
+		return view{}, nil
+	}
+	if part.Minority {
+		return view{}, e.partitionErr(part)
+	}
+	subs := make([]int, 0, c.Size())
+	for r, w := range c.group {
+		if !part.Unreachable(w) {
+			subs = append(subs, r)
+		}
+	}
+	if len(subs) == c.Size() {
+		return view{}, nil
+	}
+	return view{part: part, subs: subs}, nil
+}
+
+// root is where the rootless collectives (Barrier, Allreduce) gather
+// and release from: comm rank 0, or the quorum's first member.
+func (v view) root() int {
+	if v.subs != nil {
+		return v.subs[0]
+	}
+	return 0
+}
+
+// plan lays out a tree collective rooted at root (a valid comm rank):
+// the member order with root at position 0, and the healthy count h —
+// order[:h] form the binomial tree, order[h:] hang off the root as
+// leaves. Under a partition it is the quorum order, with the plan
+// generation noted; a release tree (fence set) on a comm with a
+// failure detector is re-planned around the root's suspects behind the
+// in-band fence; everything else runs the fixed rotation.
+func (c *Comm) plan(p *sim.Proc, v view, root int, fence bool) (order []int, h int, err error) {
+	switch {
+	case v.subs != nil:
+		if v.part.Unreachable(c.group[root]) {
+			// The tree's source is behind the cut: no quorum re-plan
+			// can produce it.
+			return nil, 0, c.eng.partitionErr(v.part)
+		}
+		c.notePartitionPlan(p, v, c.rank == root)
+		i := slices.Index(v.subs, root)
+		return slices.Concat(v.subs[i:], v.subs[:i]), len(v.subs), nil
+	case fence && c.eng.live != nil && c.Size() > 1:
+		mask, err := c.fencePlan(p, root)
+		if err != nil {
+			return nil, 0, err
+		}
+		order, h = c.planOrder(root, mask)
+		return order, h, nil
+	}
+	return c.rotation(root), c.Size(), nil
+}
+
+// rotation is the fixed order [root, root+1, ...] mod n, built in the
+// comm's reusable order buffer so the fault-free path allocates nothing.
+func (c *Comm) rotation(root int) []int {
+	n := c.Size()
+	order := c.order[:0]
+	for i := 0; i < n; i++ {
+		order = append(order, (root+i)%n)
+	}
+	c.order = order
+	return order
+}
+
+// planOrder lays out the re-planned release tree in the order buffer:
+// root at position 0, healthy members in rank order, suspected members
+// last; h is the healthy count.
+func (c *Comm) planOrder(root int, mask []byte) (order []int, h int) {
+	order = append(c.order[:0], root)
+	for r := 0; r < c.Size(); r++ {
+		if r != root && !maskBit(mask, r) {
+			order = append(order, r)
+		}
+	}
+	h = len(order)
+	for r := 0; r < c.Size(); r++ {
+		if r != root && maskBit(mask, r) {
+			order = append(order, r)
+		}
+	}
+	c.order = order
+	return order, h
+}
 
 // suspectMask returns the comm-rank bitmask of members this rank's
 // membership view holds in a non-Alive state (empty without a
@@ -446,6 +519,19 @@ func (c *Comm) suspectMask() []byte {
 	return mask
 }
 
+// partMask renders the partition's unreachable members as a comm-rank
+// bitmask, the same shape fencePlan uses for suspects, so plan
+// generations from both views compare byte for byte.
+func (c *Comm) partMask(part liveness.PartitionInfo) []byte {
+	mask := make([]byte, (c.Size()+7)/8)
+	for r, w := range c.group {
+		if part.Unreachable(w) {
+			mask[r/8] |= 1 << (r % 8)
+		}
+	}
+	return mask
+}
+
 func maskBit(mask []byte, r int) bool { return mask[r/8]&(1<<(r%8)) != 0 }
 
 func maskEmpty(mask []byte) bool {
@@ -457,54 +543,17 @@ func maskEmpty(mask []byte) bool {
 	return true
 }
 
-// planOrder lays out the release tree: root at position 0, healthy
-// members in rank order, suspected members last. Positions [0, h) form
-// the binomial tree (h = healthy count); positions [h, size) hang off
-// the root as direct leaves.
-func planOrder(size, root int, mask []byte) (order []int, healthy int) {
-	order = make([]int, 0, size)
-	order = append(order, root)
-	for r := 0; r < size; r++ {
-		if r != root && !maskBit(mask, r) {
-			order = append(order, r)
-		}
-	}
-	healthy = len(order)
-	for r := 0; r < size; r++ {
-		if r != root && maskBit(mask, r) {
-			order = append(order, r)
-		}
-	}
-	return order, healthy
-}
-
-// bcastTree is the tree broadcast: the stock binomial shape without a
-// failure detector, the fenced re-planned shape with one.
-func (c *Comm) bcastTree(p *sim.Proc, root int, buf []byte) error {
-	if err := c.checkRank(root); err != nil {
-		return err
-	}
-	if c.eng.live == nil || c.Size() == 1 {
-		return c.bcastFixed(p, root, tagBcast, buf)
-	}
-	mask, err := c.fencePlan(p, root)
-	if err != nil {
-		return err
-	}
-	return c.bcastPlanned(p, root, mask, buf)
-}
-
 // fencePlan is the re-plan fence: the root reads its membership view,
 // bumps the plan epoch if the suspect set changed, and broadcasts the
-// plan record over the fixed-shape tree so every member holds the same
-// plan before any payload moves. Returns the suspect mask to route by.
+// plan record over the fixed tree so every member holds the same plan
+// before any payload moves. Returns the suspect mask to route by.
 func (c *Comm) fencePlan(p *sim.Proc, root int) ([]byte, error) {
 	e := c.eng
 	nb := (c.Size() + 7) / 8
 	rec := make([]byte, 4+nb)
 	if c.rank == root {
 		mask := c.suspectMask()
-		if !bytesEq(mask, c.lastPlanMask) {
+		if !bytes.Equal(mask, c.lastPlanMask) {
 			c.planEpoch++
 			c.lastPlanMask = append([]byte(nil), mask...)
 			if !maskEmpty(mask) {
@@ -516,7 +565,7 @@ func (c *Comm) fencePlan(p *sim.Proc, root int) ([]byte, error) {
 		binary.LittleEndian.PutUint32(rec, c.planEpoch)
 		copy(rec[4:], mask)
 	}
-	if err := c.bcastFixed(p, root, tagPlan, rec); err != nil {
+	if err := c.bcast(p, c.rotation(root), c.Size(), tagPlan, rec); err != nil {
 		return nil, err
 	}
 	mask := rec[4:]
@@ -529,189 +578,15 @@ func (c *Comm) fencePlan(p *sim.Proc, root int) ([]byte, error) {
 	return mask, nil
 }
 
-func bytesEq(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// bcastFixed is the stock MPICH binomial-tree broadcast over
-// point-to-point, parameterized by tag so the plan fence and the
-// payload share one shape.
-func (c *Comm) bcastFixed(p *sim.Proc, root, tag int, buf []byte) error {
-	size := c.Size()
-	relrank := (c.rank - root + size) % size
-	mask := 1
-	for mask < size {
-		if relrank&mask != 0 {
-			src := c.rank - mask
-			if src < 0 {
-				src += size
-			}
-			if _, err := c.Recv(p, src, tag, buf); err != nil {
-				return err
-			}
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if relrank+mask < size {
-			dst := c.rank + mask
-			if dst >= size {
-				dst -= size
-			}
-			if err := c.Send(p, dst, tag, buf); err != nil {
-				return err
-			}
-		}
-		mask >>= 1
-	}
-	return nil
-}
-
-// bcastPlanned routes the payload over the re-planned tree: binomial
-// over the healthy positions, suspects fed directly by the root.
-func (c *Comm) bcastPlanned(p *sim.Proc, root int, suspects, buf []byte) error {
-	order, h := planOrder(c.Size(), root, suspects)
-	pos := -1
-	for q, r := range order {
-		if r == c.rank {
-			pos = q
-			break
-		}
-	}
-	if pos >= h {
-		// A suspect (by the root's view — possibly falsely): receive
-		// straight from the root, forward nothing.
-		_, err := c.Recv(p, root, tagBcast, buf)
-		return err
-	}
-	mask := 1
-	for mask < h {
-		if pos&mask != 0 {
-			if _, err := c.Recv(p, order[pos-mask], tagBcast, buf); err != nil {
-				return err
-			}
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if pos+mask < h {
-			if err := c.Send(p, order[pos+mask], tagBcast, buf); err != nil {
-				return err
-			}
-		}
-		mask >>= 1
-	}
-	if pos == 0 {
-		// The root feeds each demoted member last: their payload never
-		// gates a healthy subtree, and a confirmed-dead member surfaces
-		// here (or at its own liveness-aware receive) as DeadPeerError.
-		for q := h; q < len(order); q++ {
-			if err := c.Send(p, order[q], tagBcast, buf); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// barrierTree is the point-to-point barrier: binomial gather of
-// arrival tokens to rank 0 (fixed shape — arrivals flow toward the
-// root regardless of suspicion, since only the root owns the re-plan
-// decision), then the release over the planned tree.
-func (c *Comm) barrierTree(p *sim.Proc) error {
-	size := c.Size()
-	relrank := c.rank // root is always 0
-	mask := 1
-	for mask < size {
-		if relrank&mask != 0 {
-			parent := c.rank - mask
-			if err := c.Send(p, parent, tagBarrier, nil); err != nil {
-				return err
-			}
-			break
-		}
-		if relrank+mask < size {
-			child := c.rank + mask
-			if _, err := c.Recv(p, child, tagBarrier, nil); err != nil {
-				return err
-			}
-		}
-		mask <<= 1
-	}
-	return c.bcastTree(p, 0, nil)
-}
-
-// --- Quorum collectives under a declared partition -------------------
-//
-// When the transport declares a ring partition, majority-side
-// collectives re-plan over the quorum: the subgroup of communicator
-// members whose world rank is reachable. Unlike the suspect re-plan
-// above, no fence record is broadcast — the plan is derived by every
-// member independently from its own declared partition, which is safe
-// because the declaration itself is deterministic (hardware cut count
-// plus a contiguous stable suspect arc, converging on the shared
-// heartbeat tick). The minority side never reaches these paths: its
-// members get a PartitionError at the entry gate. Epoch bookkeeping
-// still runs (notePartitionPlan) so re-plan generations stay visible in
-// traces and the post-heal fencePlan sees the mask change.
-
-// quorumRanks returns the comm ranks on this side of the partition, in
-// rank order. The calling rank is always included (it is, by
-// construction, on the near side).
-func (c *Comm) quorumRanks(part liveness.PartitionInfo) []int {
-	subs := make([]int, 0, c.Size())
-	for r, w := range c.group {
-		if !part.Unreachable(w) {
-			subs = append(subs, r)
-		}
-	}
-	return subs
-}
-
-// subIndex returns r's position in subs, -1 when absent.
-func subIndex(subs []int, r int) int {
-	for i, s := range subs {
-		if s == r {
-			return i
-		}
-	}
-	return -1
-}
-
-// partMask renders the partition's unreachable members as a comm-rank
-// bitmask, the same shape fencePlan uses for suspects, so plan
-// generations from both machineries compare with bytesEq.
-func (c *Comm) partMask(part liveness.PartitionInfo) []byte {
-	mask := make([]byte, (c.Size()+7)/8)
-	for r, w := range c.group {
-		if part.Unreachable(w) {
-			mask[r/8] |= 1 << (r % 8)
-		}
-	}
-	return mask
-}
-
 // notePartitionPlan records the quorum as a plan generation: same
 // epoch/mask bookkeeping as fencePlan, but updated symmetrically on
 // every member (there is no record broadcast to sync from). The
 // counter and trace fire only at the collective's root so CollReplans
 // keeps its one-per-replanned-collective meaning.
-func (c *Comm) notePartitionPlan(p *sim.Proc, part liveness.PartitionInfo, subs []int, isRoot bool) {
+func (c *Comm) notePartitionPlan(p *sim.Proc, v view, isRoot bool) {
 	e := c.eng
-	mask := c.partMask(part)
-	if bytesEq(mask, c.lastPlanMask) {
+	mask := c.partMask(v.part)
+	if bytes.Equal(mask, c.lastPlanMask) {
 		return
 	}
 	c.planEpoch++
@@ -719,93 +594,127 @@ func (c *Comm) notePartitionPlan(p *sim.Proc, part liveness.PartitionInfo, subs 
 	if isRoot {
 		e.stats.CollReplans++
 		e.im.collReplans.Inc()
-		e.tracer.Emitf(p.Now(), trace.MPI, e.ep.Rank(), "coll-replan", "epoch=%d mask=%x quorum=%d", c.planEpoch, mask, len(subs))
+		e.tracer.Emitf(p.Now(), trace.MPI, e.ep.Rank(), "coll-replan", "epoch=%d mask=%x quorum=%d", c.planEpoch, mask, len(v.subs))
 	}
 }
 
-// bcastSub is the binomial broadcast over the quorum subgroup, rooted
-// at position rootPos of subs.
-func (c *Comm) bcastSub(p *sim.Proc, subs []int, rootPos, tag int, buf []byte) error {
-	n := len(subs)
-	rel := (subIndex(subs, c.rank) - rootPos + n) % n
+// bcast is the one binomial broadcast: order[0] roots a binomial tree
+// over order[:h], then feeds each leaf in order[h:] last — a demoted
+// member's payload never gates a healthy subtree, and a confirmed-dead
+// one surfaces here (or at its own liveness-aware receive) as
+// DeadPeerError.
+func (c *Comm) bcast(p *sim.Proc, order []int, h, tag int, buf []byte) error {
+	pos := slices.Index(order, c.rank)
+	if pos >= h {
+		_, err := c.Recv(p, order[0], tag, buf)
+		return err
+	}
 	mask := 1
-	for mask < n {
-		if rel&mask != 0 {
-			src := subs[(rel-mask+rootPos)%n]
-			if _, err := c.Recv(p, src, tag, buf); err != nil {
+	for ; mask < h; mask <<= 1 {
+		if pos&mask != 0 {
+			if _, err := c.Recv(p, order[pos-mask], tag, buf); err != nil {
 				return err
 			}
 			break
 		}
-		mask <<= 1
 	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < n {
-			dst := subs[(rel+mask+rootPos)%n]
-			if err := c.Send(p, dst, tag, buf); err != nil {
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if pos+mask < h {
+			if err := c.Send(p, order[pos+mask], tag, buf); err != nil {
 				return err
 			}
 		}
-		mask >>= 1
+	}
+	if pos == 0 {
+		for _, r := range order[h:] {
+			if err := c.Send(p, r, tag, buf); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// barrierQuorum gathers arrival tokens to the quorum's first member
-// and releases over the same subgroup tree.
-func (c *Comm) barrierQuorum(p *sim.Proc, part liveness.PartitionInfo, subs []int) error {
-	c.notePartitionPlan(p, part, subs, c.rank == subs[0])
-	n := len(subs)
-	pos := subIndex(subs, c.rank)
-	mask := 1
-	for mask < n {
+// gather is the one binomial gather toward order[0]: each member
+// receives its children's contributions into tmp, charging the copy
+// and folding each into acc with op when op is set, then sends acc to
+// its parent. With nil buffers it carries bare arrival tokens, and the
+// zero-length copy charges nothing.
+func (c *Comm) gather(p *sim.Proc, order []int, tag int, op Op, acc, tmp []byte) error {
+	pos := slices.Index(order, c.rank)
+	for mask := 1; mask < len(order); mask <<= 1 {
 		if pos&mask != 0 {
-			if err := c.Send(p, subs[pos-mask], tagBarrier, nil); err != nil {
+			return c.Send(p, order[pos-mask], tag, acc)
+		}
+		if pos+mask < len(order) {
+			if _, err := c.Recv(p, order[pos+mask], tag, tmp); err != nil {
 				return err
 			}
-			break
-		}
-		if pos+mask < n {
-			if _, err := c.Recv(p, subs[pos+mask], tagBarrier, nil); err != nil {
-				return err
+			p.Delay(sim.Duration(len(tmp)) * c.eng.cfg.Costs.CopyPerByte)
+			if op != nil {
+				op(acc, tmp)
 			}
 		}
-		mask <<= 1
 	}
-	return c.bcastSub(p, subs, 0, tagBcast, nil)
+	return nil
 }
 
-// allreduceQuorum folds the quorum's contributions to its first member
-// over the binomial gather, then broadcasts the result back over the
-// subgroup. The unreachable arc's contributions are simply absent —
-// the quorum's result is the reduction over the quorum, which is the
-// only meaningful result a partitioned collective can produce.
-func (c *Comm) allreduceQuorum(p *sim.Proc, part liveness.PartitionInfo, subs []int, op Op, sendBuf, recvBuf []byte) error {
+// bcastTree is the tree broadcast over the view's planned order.
+func (c *Comm) bcastTree(p *sim.Proc, v view, root int, buf []byte) error {
+	if err := c.checkRank(root); err != nil {
+		return err
+	}
+	order, h, err := c.plan(p, v, root, true)
+	if err != nil {
+		return err
+	}
+	return c.bcast(p, order, h, tagBcast, buf)
+}
+
+// barrierTree is the point-to-point barrier: a binomial gather of
+// arrival tokens toward the view's root over the fixed (or quorum)
+// order — arrivals flow toward the root regardless of suspicion, since
+// only the root owns the re-plan decision — then the release over the
+// planned tree.
+func (c *Comm) barrierTree(p *sim.Proc, v view) error {
+	order, _, err := c.plan(p, v, v.root(), false)
+	if err != nil {
+		return err
+	}
+	if err := c.gather(p, order, tagBarrier, nil, nil, nil); err != nil {
+		return err
+	}
+	return c.bcastTree(p, v, v.root(), nil)
+}
+
+// allreduceTree folds every contribution toward the view's root and
+// broadcasts the result back. Outside a partition that is Reduce to
+// rank 0 followed by the host broadcast (native multicast when
+// configured, else the planned tree). Over a quorum the fold runs in
+// place in recvBuf and the unreachable arc's contributions are simply
+// absent — the reduction over the quorum is the only meaningful result
+// a partitioned collective can produce.
+func (c *Comm) allreduceTree(p *sim.Proc, v view, op Op, sendBuf, recvBuf []byte) error {
+	if v.subs == nil {
+		if err := c.Reduce(p, 0, op, sendBuf, recvBuf); err != nil {
+			return err
+		}
+		if c.chooseHost() == Mcast {
+			return c.bcastMcast(p, 0, recvBuf)
+		}
+		return c.bcastTree(p, v, 0, recvBuf)
+	}
 	if len(recvBuf) < len(sendBuf) {
 		return ErrTruncated
 	}
-	c.notePartitionPlan(p, part, subs, c.rank == subs[0])
-	n := len(subs)
-	pos := subIndex(subs, c.rank)
+	order, h, err := c.plan(p, v, v.root(), false)
+	if err != nil {
+		return err
+	}
 	acc := recvBuf[:len(sendBuf)]
 	copy(acc, sendBuf)
-	tmp := make([]byte, len(sendBuf))
-	mask := 1
-	for mask < n {
-		if pos&mask != 0 {
-			if err := c.Send(p, subs[pos-mask], tagReduce, acc); err != nil {
-				return err
-			}
-			break
-		}
-		if pos+mask < n {
-			if _, err := c.Recv(p, subs[pos+mask], tagReduce, tmp); err != nil {
-				return err
-			}
-			op(acc, tmp)
-		}
-		mask <<= 1
+	if err := c.gather(p, order, tagReduce, op, acc, make([]byte, len(sendBuf))); err != nil {
+		return err
 	}
-	return c.bcastSub(p, subs, 0, tagBcast, acc)
+	return c.bcast(p, order, h, tagBcast, acc)
 }

@@ -43,7 +43,7 @@ func TestAllreduceWFastPath(t *testing.T) {
 			putU32(send[4*lane:], uint32(me+1)<<uint(lane))
 		}
 		recv := make([]byte, 16)
-		if err := cm.AllreduceW(p, spin.OpSumU32, send, recv); err != nil {
+		if err := cm.Allreduce(p, mpi.SumU32, send, recv); err != nil {
 			t.Errorf("rank %d: %v", me, err)
 			return
 		}
@@ -77,14 +77,20 @@ func TestAllreduceWFastPath(t *testing.T) {
 	}
 }
 
-// TestAllreduceWMatchesTree: the fast path and the software tree must
-// produce byte-identical results for every ring op (the fallback uses
-// RingOpFunc over the same 32-bit lanes).
+// TestAllreduceWMatchesTree: for every named u32 op, the NIC fast path
+// (Auto) and the host tree (pinned with WithAlgorithm(Tree), so it
+// cannot stream too) must produce byte-identical results.
 func TestAllreduceWMatchesTree(t *testing.T) {
 	const nodes = 5
-	for _, op := range []spin.RingOp{spin.OpSumU32, spin.OpMaxU32, spin.OpMinU32, spin.OpBOR, spin.OpBAND, spin.OpBXOR} {
-		op := op
-		t.Run(op.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		ring spin.RingOp
+		op   mpi.Op
+	}{
+		{spin.OpSumU32, mpi.SumU32}, {spin.OpMaxU32, mpi.MaxU32}, {spin.OpMinU32, mpi.MinU32},
+		{spin.OpBOR, mpi.BorU32}, {spin.OpBAND, mpi.BandU32}, {spin.OpBXOR, mpi.BxorU32},
+	} {
+		tc := tc
+		t.Run(tc.ring.String(), func(t *testing.T) {
 			k, _, w := streamCluster(t, nodes, nil, nil)
 			w.RunSPMD(k, func(p *sim.Proc, cm *mpi.Comm) {
 				me := cm.Rank()
@@ -94,13 +100,20 @@ func TestAllreduceWMatchesTree(t *testing.T) {
 				}
 				fast := make([]byte, 12)
 				tree := make([]byte, 12)
-				if err := cm.AllreduceW(p, op, send, fast); err != nil {
+				if err := cm.Allreduce(p, tc.op, send, fast); err != nil {
 					t.Errorf("rank %d fast: %v", me, err)
 					return
 				}
-				if err := cm.Allreduce(p, mpi.RingOpFunc(op), send, tree); err != nil {
+				streamed := w.Engine(me).Stats().StreamAllreduces
+				if streamed != 1 {
+					t.Errorf("rank %d: fast side streamed %d allreduces, want 1", me, streamed)
+				}
+				if err := cm.Allreduce(p, tc.op, send, tree, mpi.WithAlgorithm(mpi.Tree)); err != nil {
 					t.Errorf("rank %d tree: %v", me, err)
 					return
+				}
+				if d := w.Engine(me).Stats().StreamAllreduces - streamed; d != 0 {
+					t.Errorf("rank %d: tree side went through the NIC stream (%d allreduces)", me, d)
 				}
 				if !bytes.Equal(fast, tree) {
 					t.Errorf("rank %d: fast %x != tree %x", me, fast, tree)
@@ -125,7 +138,7 @@ func TestAllreduceWOversizeUsesTree(t *testing.T) {
 			putU32(send[i:], uint32(me+i))
 		}
 		recv := make([]byte, len(send))
-		if err := cm.AllreduceW(p, spin.OpSumU32, send, recv); err != nil {
+		if err := cm.Allreduce(p, mpi.SumU32, send, recv); err != nil {
 			t.Errorf("rank %d: %v", me, err)
 			return
 		}
@@ -172,7 +185,7 @@ func TestAllreduceWSuspectDegradesToTree(t *testing.T) {
 		putU32(send, uint32(me+1))
 		putU32(send[4:], uint32(100*me))
 		recv := make([]byte, 8)
-		if err := cm.AllreduceW(p, spin.OpSumU32, send, recv); err != nil {
+		if err := cm.Allreduce(p, mpi.SumU32, send, recv); err != nil {
 			t.Errorf("rank %d: %v", me, err)
 			return
 		}
@@ -203,7 +216,8 @@ func TestAllreduceWSuspectDegradesToTree(t *testing.T) {
 }
 
 // TestAllreduceWNoStreamSubstrate: on a substrate without the
-// extension (plain BBP config), AllreduceW transparently runs the tree.
+// extension (plain BBP config), Allreduce of a named u32 op
+// transparently runs the tree.
 func TestAllreduceWNoStreamSubstrate(t *testing.T) {
 	const nodes = 3
 	k := sim.NewKernel()
@@ -217,7 +231,7 @@ func TestAllreduceWNoStreamSubstrate(t *testing.T) {
 		send := make([]byte, 4)
 		putU32(send, uint32(me+7))
 		recv := make([]byte, 4)
-		if err := cm.AllreduceW(p, spin.OpSumU32, send, recv); err != nil {
+		if err := cm.Allreduce(p, mpi.SumU32, send, recv); err != nil {
 			t.Errorf("rank %d: %v", me, err)
 			return
 		}

@@ -115,7 +115,7 @@ func (nic *NIC) LinkUp() bool { return !nic.failed }
 func (nic *NIC) RingCuts() int { return nic.net.cuts }
 
 // NetworkConfig returns the configuration of the ring this card sits
-// on (used by layers that need propagation bounds, e.g. scrsync).
+// on (used by layers that need propagation bounds).
 func (nic *NIC) NetworkConfig() Config { return nic.net.cfg }
 
 // Size returns the replicated memory size in bytes.
