@@ -34,6 +34,14 @@ vet:
 # that has non-test Go files is imported by no other package's code or
 # tests (its own tests do not count): such a package earns a caller or
 # is deleted. Test-only packages (no non-test files) are skipped.
+# The mirror guard fails the tier when a non-test Go file increments a
+# Stats field (a `stats.X++` or `stats.X +=` line) and the very next
+# line bumps a counter (a bare `.Inc()` or `.Add(...)` statement): a
+# quantity a layer reports through Stats() is counted once, in that
+# field, and the metrics registry reads it through Registry.Bind, so a
+# second, mirrored increment must not come back. Registry-owned
+# counters with no Stats twin (ring.hops, pci.*, hybrid.low_sends) are
+# bumped on their own lines and do not trip it.
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -46,7 +54,15 @@ lint: vet
 	if [ -n "$$dead" ]; then \
 		echo "internal packages imported by no other package:"; echo "$$dead"; exit 1; \
 	fi
-	@echo "lint green: gofmt + vet clean, no dead internal packages"
+	@mirrors=$$(find . -name '*.go' ! -name '*_test.go' -print | sort | xargs awk ' \
+		FNR == 1 { prev = "" } \
+		prev != "" && /^[ \t]*[A-Za-z_][A-Za-z0-9_.\[\]]*\.(Inc\(\)|Add\(.*\))[ \t]*$$/ { \
+			printf "%s:%d: %s\n", FILENAME, FNR, $$0 } \
+		{ prev = ($$0 ~ /stats\.[A-Za-z_]+[ \t]*(\+\+|\+=)/) ? $$0 : "" }'); \
+	if [ -n "$$mirrors" ]; then \
+		echo "Stats increments mirrored into a metrics counter (bind the field instead):"; echo "$$mirrors"; exit 1; \
+	fi
+	@echo "lint green: gofmt + vet clean, no dead internal packages, no mirrored Stats counters"
 
 race:
 	$(GO) test -race ./...

@@ -211,13 +211,9 @@ type Detector struct {
 	pend   []int
 	resync bool
 
-	stats  Stats
-	tracer *trace.Recorder
-	im     struct {
-		suspects, refutes, confirms, rejoins, fenced *metrics.Counter
-		partitions, partitionHeals                   *metrics.Counter
-		deadPeers                                    *metrics.Gauge
-	}
+	stats     Stats
+	tracer    *trace.Recorder
+	deadPeers *metrics.Gauge // liveness.dead_peers
 }
 
 // NewDetector returns a detector for `me` in an n-node cluster, with
@@ -238,14 +234,23 @@ func NewDetector(me, n int, cfg Config, now sim.Time, tracer *trace.Recorder, re
 	for i := range d.lastFresh {
 		d.lastFresh[i] = now
 	}
-	d.im.suspects = reg.Counter("liveness.suspects", me)
-	d.im.refutes = reg.Counter("liveness.refutes", me)
-	d.im.confirms = reg.Counter("liveness.confirms_dead", me)
-	d.im.rejoins = reg.Counter("liveness.rejoins", me)
-	d.im.fenced = reg.Counter("liveness.fenced_beats", me)
-	d.im.partitions = reg.Counter("liveness.partitions_detected", me)
-	d.im.partitionHeals = reg.Counter("liveness.partition_heals", me)
-	d.im.deadPeers = reg.Gauge("liveness.dead_peers", me)
+	for _, b := range []struct {
+		name string
+		v    *int64
+	}{
+		{"liveness.beats", &d.stats.Beats},
+		{"liveness.self_rejoins", &d.stats.SelfRejoins},
+		{"liveness.suspects", &d.stats.Suspects},
+		{"liveness.refutes", &d.stats.Refutes},
+		{"liveness.confirms_dead", &d.stats.Confirms},
+		{"liveness.rejoins", &d.stats.Rejoins},
+		{"liveness.fenced_beats", &d.stats.FencedBeats},
+		{"liveness.partitions_detected", &d.stats.Partitions},
+		{"liveness.partition_heals", &d.stats.PartitionHeals},
+	} {
+		reg.Bind(b.name, me, b.v)
+	}
+	d.deadPeers = reg.Gauge("liveness.dead_peers", me)
 	return d
 }
 
@@ -260,15 +265,17 @@ func (d *Detector) State(node int) State {
 // Incarnation implements View.
 func (d *Detector) Incarnation(node int) uint32 { return d.inc[node] }
 
-// Stats returns transition counts. The owning transport adds Beats and
-// SelfRejoins, which the detector itself cannot see.
+// Stats returns transition counts. The owning transport reports Beats
+// and SelfRejoins, which the detector itself cannot see, through
+// AddBeat and AddSelfRejoin.
 func (d *Detector) Stats() Stats { return d.stats }
 
-// AddBeat is called by the owning publisher so Stats covers both halves
-// of the subsystem.
+// AddBeat records one heartbeat published by the owning transport, the
+// only count of liveness.beats.
 func (d *Detector) AddBeat() { d.stats.Beats++ }
 
-// AddSelfRejoin records a local incarnation bump.
+// AddSelfRejoin records a local incarnation bump, the only count of
+// liveness.self_rejoins.
 func (d *Detector) AddSelfRejoin() { d.stats.SelfRejoins++ }
 
 // incLess compares incarnations with wraparound, like ACK sequence
@@ -293,8 +300,7 @@ func (d *Detector) Observe(now sim.Time, node int, beat, inc uint32) {
 		d.lastFresh[node] = now
 		if was == Dead {
 			d.stats.Rejoins++
-			d.im.rejoins.Inc()
-			d.im.deadPeers.Set(d.deadCount())
+			d.deadPeers.Set(d.deadCount())
 			d.tracer.Emitf(now, trace.Live, d.me, "rejoin", "node=%d inc=%d", node, inc)
 		}
 	case inc == d.inc[node]:
@@ -307,14 +313,12 @@ func (d *Detector) Observe(now sim.Time, node int, beat, inc uint32) {
 			// state replicated after a repair, before it noticed the
 			// outage) but cannot come back without a new incarnation.
 			d.stats.FencedBeats++
-			d.im.fenced.Inc()
 			d.tracer.Emitf(now, trace.Live, d.me, "fence", "node=%d inc=%d beat=%d", node, inc, beat)
 			return
 		}
 		d.lastFresh[node] = now
 		if d.state[node] == Suspect {
 			d.stats.Refutes++
-			d.im.refutes.Inc()
 			d.closeSuspect(now, node, "refuted")
 			d.state[node] = Alive
 		}
@@ -337,7 +341,6 @@ func (d *Detector) Tick(now sim.Time) {
 			if stall >= d.cfg.SuspectAfter {
 				d.state[node] = Suspect
 				d.stats.Suspects++
-				d.im.suspects.Inc()
 				d.suspectSpn[node] = d.tracer.BeginSpan(now, trace.Live, d.me, "suspect", 0, d.tracer.Parent(),
 					"node=%d inc=%d stall=%v", node, d.inc[node], stall)
 			}
@@ -345,8 +348,7 @@ func (d *Detector) Tick(now sim.Time) {
 			if stall >= d.cfg.ConfirmAfter {
 				d.state[node] = Dead
 				d.stats.Confirms++
-				d.im.confirms.Inc()
-				d.im.deadPeers.Set(d.deadCount())
+				d.deadPeers.Set(d.deadCount())
 				d.closeSuspect(now, node, "confirmed-dead")
 				d.tracer.Emitf(now, trace.Live, d.me, "dead", "node=%d inc=%d stall=%v", node, d.inc[node], stall)
 			}
@@ -429,7 +431,6 @@ func (d *Detector) checkPartition(now sim.Time) {
 	d.part = &PartitionInfo{Minority: minority, Peers: far, Quorum: quorum}
 	d.pend = nil
 	d.stats.Partitions++
-	d.im.partitions.Inc()
 	d.tracer.Emitf(now, trace.Live, d.me, "partition-fence",
 		"peers=%v quorum=%v minority=%v cuts=%d", far, quorum, minority, d.cuts)
 }
@@ -466,9 +467,8 @@ func (d *Detector) heal(now sim.Time, why string) {
 		d.state[node] = Alive
 		d.lastFresh[node] = now
 	}
-	d.im.deadPeers.Set(d.deadCount())
+	d.deadPeers.Set(d.deadCount())
 	d.stats.PartitionHeals++
-	d.im.partitionHeals.Inc()
 	if p.Minority {
 		d.resync = true
 	}
@@ -524,7 +524,7 @@ func (d *Detector) Reset(now sim.Time) {
 	}
 	d.part = nil
 	d.pend = nil
-	d.im.deadPeers.Set(0)
+	d.deadPeers.Set(0)
 }
 
 func (d *Detector) closeSuspect(now sim.Time, node int, why string) {

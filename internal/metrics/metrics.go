@@ -5,12 +5,20 @@
 //
 // Design rules, in force everywhere:
 //
+//   - One source per quantity: a count a layer reports through its own
+//     Stats() lives only in that Stats field. The layer binds the
+//     field's address under the metric's name (Registry.Bind) and
+//     Snapshot reads it; there is no second, mirrored copy to keep
+//     equal. Registry-owned counters are for quantities with no Stats
+//     twin (ring.hops, pci.*, ...).
 //   - Nil-safe, like trace.Recorder: a nil *Registry hands out nil
-//     instruments, and every instrument method is a no-op on a nil
-//     receiver. Instrumented hot paths need no guards and pay one
-//     pointer test when metrics are disabled — no allocation, and no
-//     virtual time ever (instruments never call Proc.Delay, so enabling
-//     metrics cannot move a single figure).
+//     instruments, Bind on it does nothing, and every instrument method
+//     is a no-op on a nil receiver. A bound count costs its hot path
+//     one integer increment whether metrics are on or off; a
+//     registry-owned instrument pays one pointer test when they are
+//     off. Neither allocates, and neither ever charges virtual time
+//     (instruments never call Proc.Delay, so enabling metrics cannot
+//     move a single figure).
 //   - Deterministic: no wall-clock reads, no map-iteration order.
 //     Snapshots are sorted by (name, node) and two identical simulation
 //     runs produce byte-identical renderings.
@@ -72,19 +80,24 @@ func BucketBounds(i int) (lo, hi int64) {
 	}
 }
 
-// Counter is a monotonically increasing count.
-type Counter struct{ v int64 }
+// Counter is a monotonically increasing count. It owns its storage
+// unless Registry.Bind gave it layer fields to read: then Inc and Add
+// write the first bound field and Value sums every bound field.
+type Counter struct {
+	v     int64
+	bound []*int64
+}
 
 // Inc adds one (no-op on nil).
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds d (no-op on nil).
 func (c *Counter) Add(d int64) {
-	if c != nil {
+	switch {
+	case c == nil:
+	case len(c.bound) > 0:
+		*c.bound[0] += d
+	default:
 		c.v += d
 	}
 }
@@ -94,7 +107,11 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	v := c.v
+	for _, p := range c.bound {
+		v += *p
+	}
+	return v
 }
 
 // Gauge is an instantaneous level that also remembers its high-water
@@ -278,6 +295,24 @@ func (r *Registry) Counter(name string, node int) *Counter {
 	return c
 }
 
+// Bind makes the named counter for a node read *v, a layer's own Stats
+// field: the layer counts there and Snapshot reads the field live, so a
+// quantity has one storage location. Binds of different fields to one
+// (name, node) sum; binding the same field again is a no-op. No-op on a
+// nil registry.
+func (r *Registry) Bind(name string, node int, v *int64) {
+	if r == nil {
+		return
+	}
+	c := r.Counter(name, node)
+	for _, p := range c.bound {
+		if p == v {
+			return
+		}
+	}
+	c.bound = append(c.bound, v)
+}
+
 // Gauge returns the named gauge for a node, creating it on first use.
 func (r *Registry) Gauge(name string, node int) *Gauge {
 	if r == nil {
@@ -357,7 +392,7 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	for k, c := range r.counters {
-		s.Counters = append(s.Counters, CounterPoint{k.name, k.node, c.v})
+		s.Counters = append(s.Counters, CounterPoint{k.name, k.node, c.Value()})
 	}
 	for k, g := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugePoint{k.name, k.node, g.v, g.max})

@@ -207,3 +207,80 @@ func TestRollup(t *testing.T) {
 		t.Fatalf("rolled-up bucket mass = %d, want 2", total)
 	}
 }
+
+// TestBindContract pins how a layer's Stats field and the registry
+// share one storage location: Snapshot reads the field live, Counter()
+// on the key reads and writes it, fields bound to one key sum, a nil
+// registry's Bind is free, and bound counters render exactly like
+// owned ones.
+func TestBindContract(t *testing.T) {
+	t.Run("snapshot reads live", func(t *testing.T) {
+		r := New()
+		var polls int64
+		r.Bind("bbp.polls", 3, &polls)
+		if v, ok := r.Snapshot().Counter("bbp.polls", 3); !ok || v != 0 {
+			t.Fatalf("fresh bound counter = %d,%v, want 0,true", v, ok)
+		}
+		polls += 7
+		if v, _ := r.Snapshot().Counter("bbp.polls", 3); v != 7 {
+			t.Fatalf("snapshot after the field moved = %d, want 7", v)
+		}
+	})
+	t.Run("counter aliases the field", func(t *testing.T) {
+		r := New()
+		var sent int64
+		r.Bind("ring.packets_injected", 0, &sent)
+		c := r.Counter("ring.packets_injected", 0)
+		c.Inc()
+		c.Add(4)
+		if sent != 5 {
+			t.Fatalf("Inc/Add on the bound key left the field at %d, want 5", sent)
+		}
+		sent++
+		if c.Value() != 6 {
+			t.Fatalf("Value() = %d after the field moved to 6", c.Value())
+		}
+	})
+	t.Run("shared key sums", func(t *testing.T) {
+		r := New()
+		backbone, leaf := int64(2), int64(3)
+		r.Bind("ring.packets_applied", 1, &backbone)
+		r.Bind("ring.packets_applied", 1, &leaf)
+		r.Bind("ring.packets_applied", 1, &leaf) // same field again: no-op
+		if v, _ := r.Snapshot().Counter("ring.packets_applied", 1); v != 5 {
+			t.Fatalf("two fields on one key = %d, want 5", v)
+		}
+	})
+	t.Run("nil registry", func(t *testing.T) {
+		var r *Registry
+		var v int64
+		allocs := testing.AllocsPerRun(1000, func() { r.Bind("x", 0, &v) })
+		if allocs != 0 {
+			t.Fatalf("nil Bind allocated %.1f times per run, want 0", allocs)
+		}
+		if s := r.Snapshot(); len(s.Counters) != 0 {
+			t.Fatal("nil registry grew counters on Bind")
+		}
+	})
+	t.Run("render order", func(t *testing.T) {
+		owned, bound := New(), New()
+		fields := []int64{10, 20, 30}
+		for i, k := range []struct {
+			name string
+			node int
+		}{{"b", 1}, {"a", 2}, {"a", 0}} {
+			owned.Counter(k.name, k.node).Add(fields[i])
+			bound.Bind(k.name, k.node, &fields[i])
+		}
+		var bo, bb bytes.Buffer
+		owned.Snapshot().Render(&bo)
+		bound.Snapshot().Render(&bb)
+		if !bytes.Equal(bo.Bytes(), bb.Bytes()) {
+			t.Fatalf("bound counters rendered differently from owned ones:\n%s\n---\n%s", bb.String(), bo.String())
+		}
+		s := bound.Snapshot()
+		if s.Counters[0].Name != "a" || s.Counters[0].Node != 0 || s.Counters[2].Name != "b" {
+			t.Fatalf("bound counters out of (name, node) order: %+v", s.Counters)
+		}
+	})
+}

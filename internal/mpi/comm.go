@@ -51,9 +51,10 @@ func (w *World) Size() int { return len(w.comms) }
 // Engine returns rank i's ADI engine (for statistics).
 func (w *World) Engine(i int) *Engine { return w.engines[i] }
 
-// SetMetrics installs per-rank protocol instruments on every engine
-// (nil disables). It does not reach down into the transport — install
-// metrics there separately if wanted.
+// SetMetrics binds every engine's EngineStats into m under per-rank
+// mpi.* names and installs its gauges (nil installs nothing). It does
+// not reach down into the transport — install metrics there separately
+// if wanted.
 func (w *World) SetMetrics(m *metrics.Registry) {
 	for _, eng := range w.engines {
 		eng.setMetrics(m)
@@ -158,7 +159,6 @@ func (c *Comm) isend(p *sim.Proc, dst, tag int, data []byte) (*Request, error) {
 		e.tracer.PopParent()
 		e.tracer.EndSpan(p.Now(), trace.MPI, e.ep.Rank(), "eager-end", span, 0, "total=%d", len(data))
 		e.stats.EagerSent++
-		e.im.eagerSent.Inc()
 		req.done = true
 		return req, nil
 	}
@@ -176,7 +176,6 @@ func (c *Comm) isend(p *sim.Proc, dst, tag int, data []byte) (*Request, error) {
 	e.sendControl(p, world, env)
 	e.tracer.PopParent()
 	e.stats.RndvSent++
-	e.im.rndvSent.Inc()
 	return req, nil
 }
 

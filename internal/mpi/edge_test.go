@@ -352,9 +352,8 @@ func TestEngineStatsAccounting(t *testing.T) {
 	}
 	_ = fmt.Sprintf("%+v", s0) // stats are printable
 
-	// Windowed run with a metrics registry installed: every EngineStats
-	// field must mirror its mpi.* counter identically, and the pipeline
-	// depth gauge's high-water mark must respect the configured bound.
+	// Windowed run with a metrics registry installed: the pipeline depth
+	// gauge's high-water mark must respect the configured bound.
 	const depth = 1 // deterministic: every chunk after the first waits
 	k := sim.NewKernel()
 	c2, err := cluster.New(k, cluster.Options{Nodes: 2, Net: cluster.SCRAMNet, PIOOnlyBBP: true})
@@ -379,25 +378,6 @@ func TestEngineStatsAccounting(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-	for r := 0; r < 2; r++ {
-		s := w2.Engine(r).Stats()
-		for _, pair := range []struct {
-			name string
-			stat int64
-		}{
-			{"mpi.eager_sent", s.EagerSent},
-			{"mpi.rndv_sent", s.RndvSent},
-			{"mpi.received", s.Received},
-			{"mpi.unexpected_msgs", s.UnexpectedMsgs},
-			{"mpi.chunks_sent", s.ChunksSent},
-			{"mpi.rndv_zero_copy", s.RndvZeroCopy},
-			{"mpi.window_stalls", s.WindowStalls},
-		} {
-			if got := reg.Counter(pair.name, r).Value(); got != pair.stat {
-				t.Errorf("rank %d %s = %d, stats say %d", r, pair.name, got, pair.stat)
-			}
-		}
 	}
 	ws := w2.Engine(0).Stats()
 	if ws.RndvZeroCopy != 1 || ws.ChunksSent != 16 {

@@ -250,11 +250,9 @@ func (c *Comm) barrierNIC(p *sim.Proc, v view) error {
 	}
 	if done {
 		e.stats.NICBarriers++
-		e.im.nicBarriers.Inc()
 		return nil
 	}
 	e.stats.StreamFallbacks++
-	e.im.streamFalls.Inc()
 	return c.runBarrier(p, v, c.chooseHost())
 }
 
@@ -348,11 +346,9 @@ func (c *Comm) allreduceNIC(p *sim.Proc, v view, op Op, sendBuf, recvBuf []byte)
 	}
 	if done {
 		e.stats.StreamAllreduces++
-		e.im.streamAllred.Inc()
 		return nil
 	}
 	e.stats.StreamFallbacks++
-	e.im.streamFalls.Inc()
 	return c.allreduceTree(p, v, op, sendBuf, recvBuf)
 }
 
@@ -558,7 +554,6 @@ func (c *Comm) fencePlan(p *sim.Proc, root int) ([]byte, error) {
 			c.lastPlanMask = append([]byte(nil), mask...)
 			if !maskEmpty(mask) {
 				e.stats.CollReplans++
-				e.im.collReplans.Inc()
 				e.tracer.Emitf(p.Now(), trace.MPI, e.ep.Rank(), "coll-replan", "epoch=%d mask=%x", c.planEpoch, mask)
 			}
 		}
@@ -593,7 +588,6 @@ func (c *Comm) notePartitionPlan(p *sim.Proc, v view, isRoot bool) {
 	c.lastPlanMask = mask
 	if isRoot {
 		e.stats.CollReplans++
-		e.im.collReplans.Inc()
 		e.tracer.Emitf(p.Now(), trace.MPI, e.ep.Rank(), "coll-replan", "epoch=%d mask=%x quorum=%d", c.planEpoch, mask, len(v.subs))
 	}
 }

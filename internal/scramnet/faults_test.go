@@ -3,6 +3,7 @@ package scramnet
 import (
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -62,5 +63,27 @@ func TestFaultsDeterministic(t *testing.T) {
 	}
 	if a, b := lost(), lost(); a != b {
 		t.Fatalf("fault injection not deterministic: %d vs %d", a, b)
+	}
+}
+
+// TestBypassedOriginLossReachesMetrics covers a write from an optically
+// bypassed card: its packet never reaches the ring, and
+// ring.packets_lost must count it exactly as the card's own Stats do.
+// This drop happens at the origin, before the CRC and broken-ring drop
+// paths the other loss tests exercise.
+func TestBypassedOriginLossReachesMetrics(t *testing.T) {
+	k, n := newNet(t, 4)
+	m := metrics.New()
+	n.SetMetrics(m)
+	n.FailNode(0)
+	k.Spawn("w", func(p *sim.Proc) { n.NIC(0).WriteWord(p, 0, 1) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if lost := n.NIC(0).Stats().PacketsLost; lost != 1 {
+		t.Fatalf("NIC(0).Stats().PacketsLost = %d, want 1", lost)
+	}
+	if lost, _ := m.Snapshot().Counter("ring.packets_lost", 0); lost != 1 {
+		t.Fatalf("ring.packets_lost at node 0 = %d, want 1", lost)
 	}
 }

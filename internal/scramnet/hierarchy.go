@@ -150,8 +150,9 @@ func (h *Hierarchy) Leaf(li int) *Network { return h.leaves[li] }
 func (h *Hierarchy) Backbone() *Network { return h.backbone }
 
 // SetMetrics installs metrics on every ring of the hierarchy (nil
-// disables). NICs are keyed by their global host number; bridge slots
-// report under the bridge NIC's ownerID.
+// installs nothing). NICs are keyed by their global host number; bridge
+// slots report under the bridge NIC's ownerID, summed with the other
+// cards bound to that node.
 func (h *Hierarchy) SetMetrics(m *metrics.Registry) {
 	h.backbone.SetMetrics(m)
 	for _, leaf := range h.leaves {

@@ -46,34 +46,28 @@ type NIC struct {
 	// handlers is the card's in-network handler engine (internal/spin),
 	// created lazily on the first InstallHandler so an un-handled card
 	// adds nothing to the transit path. mreg remembers the metrics
-	// registry so a lazily created engine gets its spin.* instruments.
+	// registry so a lazily created engine binds its spin.* counters.
 	handlers *spin.Engine
 	mreg     *metrics.Registry
 
 	stats Stats
-	im    nicInstruments
 }
 
-// nicInstruments are the per-card metrics (nil = disabled no-ops).
-type nicInstruments struct {
-	injected      *metrics.Counter // ring.packets_injected
-	applied       *metrics.Counter // ring.packets_applied
-	crcDrops      *metrics.Counter // ring.packets_lost (CRC or broken ring)
-	bytesInjected *metrics.Counter // ring.bytes_injected
-	interrupts    *metrics.Counter // ring.interrupts_taken
-	combined      *metrics.Counter // ring.packets_combined (handler rewrites at transit)
-}
-
-// setMetrics creates this card's instruments, keyed by its host number,
-// and wires the host bus with the same node id.
+// setMetrics binds this card's Stats fields into m, keyed by its host
+// number, and wires the host bus with the same node id.
 func (nic *NIC) setMetrics(m *metrics.Registry) {
-	nic.im = nicInstruments{
-		injected:      m.Counter("ring.packets_injected", nic.ownerID),
-		applied:       m.Counter("ring.packets_applied", nic.ownerID),
-		crcDrops:      m.Counter("ring.packets_lost", nic.ownerID),
-		bytesInjected: m.Counter("ring.bytes_injected", nic.ownerID),
-		interrupts:    m.Counter("ring.interrupts_taken", nic.ownerID),
-		combined:      m.Counter("ring.packets_combined", nic.ownerID),
+	for _, b := range []struct {
+		name string
+		v    *int64
+	}{
+		{"ring.packets_injected", &nic.stats.PacketsSent},
+		{"ring.packets_applied", &nic.stats.PacketsApplied},
+		{"ring.packets_lost", &nic.stats.PacketsLost},
+		{"ring.bytes_injected", &nic.stats.BytesSent},
+		{"ring.interrupts_taken", &nic.stats.InterruptsTaken},
+		{"ring.packets_combined", &nic.stats.PacketsCombined},
+	} {
+		m.Bind(b.name, nic.ownerID, b.v)
 	}
 	nic.bus.SetMetrics(m, nic.ownerID)
 	nic.mreg = m
@@ -176,7 +170,6 @@ func (nic *NIC) checkRange(off, n int) {
 func (nic *NIC) apply(pkt *packet) {
 	nic.mem.write(pkt.off, pkt.data)
 	nic.stats.PacketsApplied++
-	nic.im.applied.Inc()
 	if tr := nic.net.tracer; tr != nil {
 		// Guarded so that an untraced hop does not box the arguments.
 		tr.EmitMsg(nic.net.k.Now(), trace.Ring, nic.id, "apply", pkt.msg, pkt.span, "off=%#x len=%d from=%d", pkt.off, len(pkt.data), pkt.origin)
@@ -189,7 +182,6 @@ func (nic *NIC) apply(pkt *packet) {
 		// there used to panic the simulation).
 		off, h := pkt.off, nic.intrHandler
 		nic.stats.InterruptsTaken++
-		nic.im.interrupts.Inc()
 		nic.net.k.AfterKind(nic.net.cfg.InterruptLatency, "intr", func() { h(off) })
 	}
 	if nic.onApply != nil {
@@ -264,7 +256,6 @@ func (nic *NIC) transit(pkt *packet) (v spin.Verdict, cost sim.Duration, span tr
 	if v == spin.Rewrite {
 		pkt.rewritten = true
 		nic.stats.PacketsCombined++
-		nic.im.combined.Inc()
 	}
 	if trapped {
 		net.tracer.EmitMsg(net.k.Now(), trace.Spin, nic.id, "trap", pkt.msg, span, "budget=%d", net.cfg.HandlerBudget)

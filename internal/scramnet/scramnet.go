@@ -281,22 +281,11 @@ func (n *Network) SetTracer(r *trace.Recorder) {
 	}
 }
 
-// SetMetrics installs metrics instruments on the ring, its NICs and
-// their host buses (nil disables). Metrics never charge virtual time,
-// so enabling them cannot perturb a measurement.
+// SetMetrics binds the NICs' Stats into m and installs the ring-wide
+// instruments and the NICs' host-bus instruments (nil installs
+// nothing). Metrics never charge virtual time, so enabling them cannot
+// perturb a measurement.
 func (n *Network) SetMetrics(m *metrics.Registry) {
-	if m == nil {
-		n.im = netInstruments{}
-		for _, nic := range n.nics {
-			nic.im = nicInstruments{}
-			nic.bus.SetMetrics(nil, 0)
-			nic.mreg = nil
-			if nic.handlers != nil {
-				nic.handlers.SetMetrics(nil)
-			}
-		}
-		return
-	}
 	n.im = netInstruments{
 		hops:        m.Counter("ring.hops", metrics.NodeGlobal),
 		bypassHops:  m.Counter("ring.bypass_hops", metrics.NodeGlobal),
@@ -484,8 +473,6 @@ func (n *Network) inject(pkt *packet) {
 	src := n.nics[pkt.origin]
 	src.stats.PacketsSent++
 	src.stats.BytesSent += int64(len(pkt.data))
-	src.im.injected.Inc()
-	src.im.bytesInjected.Add(int64(len(pkt.data)))
 	// "inject" opens the packet's ring span; it closes at strip, CRC
 	// drop, or ring break ("pkt-end"), so the causal tree shows exactly
 	// how far each replication packet got.
@@ -521,7 +508,6 @@ func (n *Network) depart(pkt *packet) {
 		if n.cfg.DropRate > 0 && n.faults.Float64() < n.cfg.DropRate {
 			// Corrupted in flight: the next hop's CRC check discards it.
 			src.stats.PacketsLost++
-			src.im.crcDrops.Inc()
 			n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "crc-drop")
 			return
 		}
@@ -529,7 +515,6 @@ func (n *Network) depart(pkt *packet) {
 	next, hops, wrap, byp, err := n.route(from)
 	if err != nil {
 		n.nics[pkt.origin].stats.PacketsLost++
-		n.nics[pkt.origin].im.crcDrops.Inc()
 		n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "ring-broken")
 		return // broken ring: packet lost downstream
 	}
@@ -556,7 +541,6 @@ func (n *Network) arrive(pkt *packet) {
 	next := pkt.next
 	if pkt.isolated {
 		n.nics[pkt.origin].stats.PacketsLost++
-		n.nics[pkt.origin].im.crcDrops.Inc()
 		n.tracer.EndSpan(n.k.Now(), trace.Ring, pkt.origin, "pkt-end", pkt.span, pkt.msg, "isolated node=%d", next)
 		return
 	}

@@ -171,16 +171,15 @@ type rng struct {
 }
 
 // Engine is one NIC's handler table: installed ranges in install
-// order, plus the spin.* instruments. The zero value is unusable; NICs
-// create engines lazily on first install so an un-handled ring charges
-// nothing.
+// order, plus the handler counters it binds as spin.*. The zero value
+// is unusable; NICs create engines lazily on first install so an
+// un-handled ring charges nothing.
 type Engine struct {
 	node    int
 	budget  int64
 	nextID  int
 	ranges  []rng
 	stats   Stats
-	im      instruments
 	scratch []byte    // rollback snapshot, reused across transits
 	ran     []Handler // handlers run this transit (TrapAware notification), reused
 }
@@ -195,16 +194,6 @@ type Stats struct {
 	PacketsSteered   int64
 }
 
-// instruments mirror Stats into the metrics registry (nil = no-ops).
-type instruments struct {
-	handlersRun      *metrics.Counter // spin.handlers_run
-	handlerCycles    *metrics.Counter // spin.handler_cycles
-	trapsToHost      *metrics.Counter // spin.traps_to_host
-	packetsConsumed  *metrics.Counter // spin.packets_consumed
-	packetsRewritten *metrics.Counter // spin.packets_rewritten
-	packetsSteered   *metrics.Counter // spin.packets_steered
-}
-
 // NewEngine builds a handler engine for one transit node with the
 // given per-packet cycle budget.
 func NewEngine(node int, budget int64) *Engine {
@@ -214,20 +203,21 @@ func NewEngine(node int, budget int64) *Engine {
 	return &Engine{node: node, budget: budget}
 }
 
-// SetMetrics (re)creates the engine's spin.* instruments against m,
-// keyed by the engine's node (nil disables).
+// SetMetrics binds the engine's Stats fields into m as spin.* counters
+// keyed by the engine's node (nil binds nothing).
 func (e *Engine) SetMetrics(m *metrics.Registry) {
-	if m == nil {
-		e.im = instruments{}
-		return
-	}
-	e.im = instruments{
-		handlersRun:      m.Counter("spin.handlers_run", e.node),
-		handlerCycles:    m.Counter("spin.handler_cycles", e.node),
-		trapsToHost:      m.Counter("spin.traps_to_host", e.node),
-		packetsConsumed:  m.Counter("spin.packets_consumed", e.node),
-		packetsRewritten: m.Counter("spin.packets_rewritten", e.node),
-		packetsSteered:   m.Counter("spin.packets_steered", e.node),
+	for _, b := range []struct {
+		name string
+		v    *int64
+	}{
+		{"spin.handlers_run", &e.stats.HandlersRun},
+		{"spin.handler_cycles", &e.stats.HandlerCycles},
+		{"spin.traps_to_host", &e.stats.TrapsToHost},
+		{"spin.packets_consumed", &e.stats.PacketsConsumed},
+		{"spin.packets_rewritten", &e.stats.PacketsRewritten},
+		{"spin.packets_steered", &e.stats.PacketsSteered},
+	} {
+		m.Bind(b.name, e.node, b.v)
 	}
 }
 
@@ -298,7 +288,6 @@ run:
 		e.ran = append(e.ran, r.handler)
 		hv := r.handler.OnTransit(ctx, pkt)
 		e.stats.HandlersRun++
-		e.im.handlersRun.Inc()
 		if ctx.Overrun() {
 			trapped = true
 			break
@@ -323,23 +312,18 @@ run:
 		}
 		v = Forward
 		e.stats.TrapsToHost++
-		e.im.trapsToHost.Inc()
 	}
 	for _, inj := range ctx.pendInj {
 		ctx.InjectHook(inj.off, inj.data)
 	}
 	e.stats.HandlerCycles += cycles
-	e.im.handlerCycles.Add(cycles)
 	switch v {
 	case Consume:
 		e.stats.PacketsConsumed++
-		e.im.packetsConsumed.Inc()
 	case Rewrite:
 		e.stats.PacketsRewritten++
-		e.im.packetsRewritten.Inc()
 	case Steer:
 		e.stats.PacketsSteered++
-		e.im.packetsSteered.Inc()
 	}
 	return v, cycles, trapped
 }
