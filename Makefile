@@ -167,23 +167,34 @@ timeline: build
 figures:
 	$(GO) run ./cmd/figures -faults
 
-# Perf-regression tier: re-run the Figure 1–6 suite plus the throughput
-# and bus-utilization sweeps (internal/bench/report) and fail on any
-# drift from the checked-in BENCH_figures.json. The report is
+# Perf-regression tier: run the experiment table of internal/bench/report
+# (Figures 1–6, throughput, bus sweep, E7 and E9–E15, rollup) and fail
+# on any drift from the checked-in BENCH_figures.json. The report is
 # byte-stable by construction, so a diff means a latency or a counter
 # actually moved; if the move is intended, regenerate the baseline with
 # `$(GO) run ./cmd/figures -json BENCH_figures.json` so it lands in
 # review alongside the change that caused it.
 #
-# The run itself also enforces the regression gates before writing
-# anything: cmd/figures -json exits 1 unless burst-read polling cuts
-# the 16-node 0-byte incast sink's full-round-trip poll reads by at
-# least report.MinPollReductionPct (60%) versus per-word polling, the
-# adaptive threshold converges on the 20 B E7 crossover, the E10
-# failover delays stay inside the detector's windows, and the E11
-# windowed pipelined rendezvous beats the sequential path at 64 KiB by
-# at least report.MinRndvImprovementPct — so a regression in any of
-# them cannot silently regenerate itself into a new baseline.
+# The run itself also enforces every row's gate before writing anything,
+# and cmd/figures -json exits 1 naming each failing section:
+#   recv_dma_crossover_bytes  a DMA-beats-PIO crossover exists in 4..256 B
+#                             and the adaptive threshold equals it (20 B)
+#   poll_aggregation          burst polling cuts the 16-node 0 B incast
+#                             sink's poll reads by >= MinPollReductionPct
+#   failover_latency          E10 DeadPeerError and hybrid reroute land
+#                             inside the detector's windows
+#   rndv_pipeline             the E11 windowed rendezvous beats the
+#                             sequential one at 64 KiB by >= MinRndvImprovementPct
+#   stream_allreduce          the E12 handler allreduce beats the tree by
+#                             >= MinStreamImprovementPct, charges handler
+#                             cycles, and falls back on a suspect member
+#   barrier_scaling           the E14 NIC barrier beats the host one by
+#                             >= MinBarrierImprovementPct, scales flatter
+#                             than O(ranks), and relieves rank 0's bus
+#   partition_tolerance       the E15 fence, heal and wrap penalty stay
+#                             inside their bounds
+# so a regression in any of them cannot silently regenerate itself into
+# a new baseline.
 bench: build sweep
 	$(GO) run ./cmd/figures -json .bench.tmp.json
 	@if diff -u BENCH_figures.json .bench.tmp.json; then \
@@ -230,5 +241,5 @@ sweep: build
 	@echo "sweep tier green: matrix matches BENCH_sweep.json; trend gate catches injected drift"
 
 clean:
-	rm -f cover.out cover.html .cover.mpi.out .cover.spin.out .cover.trace.out .cover.metrics.out \
+	rm -f cover.out cover.html .cover.*.out \
 		.bench.tmp.json .sweep.tmp.json .sweep.gate.out .timeline.tmp.out

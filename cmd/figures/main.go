@@ -8,14 +8,17 @@
 //	        [-cpuprofile FILE] [-memprofile FILE]
 //
 // -fig selects a single figure (1..6, or 0 for the §2 raw-hardware
-// table); default runs everything. -wide extends the size axis beyond
-// the paper's 1000-byte panels to show the large-message crossovers.
+// table); default runs everything, and any other value is a usage error
+// (exit 2). -wide extends the size axis beyond the paper's 1000-byte
+// panels to show the large-message crossovers.
 // -faults appends the fault-sweep extension: BBP one-way latency vs
 // ring loss rate with the retry extension recovering drops.
 // -json PATH runs the perf-regression suite (internal/bench/report)
 // instead of the text tables and writes the schema-versioned,
 // byte-stable report to PATH ("-" for stdout); this is what regenerates
-// the checked-in BENCH_figures.json.
+// the checked-in BENCH_figures.json. It exits 1, writing nothing and
+// naming every failing section, when any of the report's regression
+// gates fails.
 package main
 
 import (
@@ -37,11 +40,16 @@ func main() {
 	jsonPath := flag.String("json", "", "write the perf-regression report to this path (\"-\" for stdout) instead of text tables")
 	startProf, stopProf := prof.Flags()
 	flag.Parse()
+	if *fig < -1 || *fig > 6 {
+		fmt.Fprintf(os.Stderr, "figures: -fig %d is not a figure (0..6)\n", *fig)
+		flag.Usage()
+		os.Exit(2)
+	}
 	startProf()
 	defer stopProf()
 
 	if *jsonPath != "" {
-		rep := report.Run(report.DefaultOptions())
+		rep := report.Run()
 		if err := rep.Check(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			stopProf()

@@ -6,6 +6,10 @@
 // regenerates it and fails on any drift, so a PR that moves a latency
 // or a counter must also move the golden file — visibly, in review.
 //
+// The suite is one ordered table of experiments: each row measures one
+// section of the Report and, for the gated sections, holds it to its
+// regression bounds; Run walks the rows and Check walks the gates.
+//
 // Byte stability is by construction: the simulation is deterministic,
 // the report contains no wall-clock time, every float is rounded to
 // three decimals before marshaling, and serialization is
@@ -84,55 +88,13 @@ import (
 // zero off the fault path.
 const Schema = 7
 
-// Options selects the sweep resolution. The default runs the figure
-// suite at the paper's panel sizes; Reduced is a fast subset for tests.
-type Options struct {
-	// SmallSizes and FullSizes are the figure panels' size axes.
-	SmallSizes []int
-	FullSizes  []int
-	// BusSizes is the bus-utilization sweep axis.
-	BusSizes []int
-	// CrossoverLo/Hi/Step bound the fine-grained scan for the receive
-	// DMA threshold crossover (Step <= 0 disables the scan).
-	CrossoverLo, CrossoverHi, CrossoverStep int
-	// BarrierAndBcast includes Figures 5 and 6 (the slowest part of the
-	// suite, involving every network's collectives).
-	BarrierAndBcast bool
-}
-
-// DefaultOptions is the full suite, as committed in BENCH_figures.json.
-func DefaultOptions() Options {
-	return Options{
-		SmallSizes:      bench.SmallSizes,
-		FullSizes:       bench.FullSizes,
-		BusSizes:        []int{0, 16, 64, 256, 1024, 4096},
-		CrossoverLo:     4,
-		CrossoverHi:     256,
-		CrossoverStep:   4,
-		BarrierAndBcast: true,
-	}
-}
-
-// ReducedOptions is a two-point subset for schema and stability tests.
-func ReducedOptions() Options {
-	return Options{
-		SmallSizes:      []int{0, 64},
-		FullSizes:       []int{0, 64},
-		BusSizes:        []int{0, 256},
-		CrossoverLo:     32,
-		CrossoverHi:     64,
-		CrossoverStep:   32,
-		BarrierAndBcast: false,
-	}
-}
-
 // Report is the document written to BENCH_figures.json.
 type Report struct {
 	Schema int    `json:"schema"`
 	Paper  string `json:"paper"`
 	// Figures are the paper's latency panels, in figure order.
 	Figures []Figure `json:"figures"`
-	// Barrier is the Figure 6 table (empty when BarrierAndBcast is off).
+	// Barrier is the Figure 6 table.
 	Barrier []BarrierRow `json:"barrier,omitempty"`
 	// Throughput is the §2 raw-hardware table.
 	Throughput Throughput `json:"throughput"`
@@ -142,8 +104,7 @@ type Report struct {
 	// and its I/O-bus utilization.
 	BusSweep []BusPoint `json:"bus_sweep"`
 	// RecvDMACrossoverBytes is the smallest message size at which the
-	// DMA receive path beats PIO word reads (-1: never within the scan,
-	// 0: scan disabled).
+	// DMA receive path beats PIO word reads (-1: never within the scan).
 	RecvDMACrossoverBytes int `json:"recv_dma_crossover_bytes"`
 	// PollAggregation is the E9 measurement: the sink's full-round-trip
 	// poll reads in a 0-byte incast with per-word polling vs the
@@ -152,7 +113,8 @@ type Report struct {
 	// AdaptiveRecvDMABytes is the receive-DMA threshold the adaptive
 	// estimator converges to on the default uncontended bus (the
 	// bbp.recv_dma_threshold_bytes gauge after an instrumented run with
-	// adaptation enabled); it must agree with the measured crossover.
+	// adaptation enabled). Check() requires it to equal the measured
+	// crossover.
 	AdaptiveRecvDMABytes int64 `json:"adaptive_recv_dma_bytes"`
 	// FailoverLatency is the E10 measurement: node-death-to-action
 	// delays with the heartbeat failure detector on. Check() gates both
@@ -480,84 +442,205 @@ const MinPollReductionPct = 60.0
 // PollAggregationNodes is the cluster size of the E9 incast.
 const PollAggregationNodes = 16
 
-// Check enforces the report's self-describing regression gates; the
-// cmd/figures -json path exits nonzero when it fails, so `make bench`
-// catches the regression even before the golden-file diff.
+// experiment is one row of the suite, in the manner of a ReFrame check:
+// run measures and fills the row's own section of the Report, and gate,
+// when non-nil, holds that section — and no other — to its reference
+// bounds. Sections without a gate (the figures, the Figure 6 barrier
+// table, throughput, bus sweep and rollup) are recorded only; the
+// golden-file diff in `make bench` guards them.
+type experiment struct {
+	name string // the section's JSON key
+	run  func(*Report)
+	gate func(Report) error
+}
+
+// experiments is the suite, in run order. Every run builds its own
+// kernel and cluster, so a row's numbers do not depend on the rows
+// before it.
+var experiments = []experiment{
+	{name: "figures", run: func(r *Report) {
+		r.Figures = []Figure{
+			{Name: "fig1_small", Title: "SCRAMNet one-way latency, API vs MPI (small messages)", Series: roundSeries(bench.Fig1(bench.SmallSizes))},
+			{Name: "fig1", Title: "SCRAMNet one-way latency, API vs MPI", Series: roundSeries(bench.Fig1(bench.FullSizes))},
+			{Name: "fig2", Title: "One-way latency across networks, API layer", Series: roundSeries(bench.Fig2(bench.FullSizes))},
+			{Name: "fig3", Title: "One-way latency across networks, MPI layer", Series: roundSeries(bench.Fig3(bench.FullSizes))},
+			{Name: "fig4", Title: "SCRAMNet point-to-point vs 4-node broadcast, API layer", Series: roundSeries(bench.Fig4(bench.FullSizes))},
+			{Name: "fig5", Title: "4-node MPI_Bcast, SCRAMNet vs Fast Ethernet", Series: roundSeries(bench.Fig5(bench.FullSizes))},
+		}
+	}},
+	{name: "barrier", run: func(r *Report) {
+		for _, row := range bench.Fig6() {
+			r.Barrier = append(r.Barrier, BarrierRow{Config: row.Config, Nodes: row.Nodes, Us: round3(row.Microus)})
+		}
+	}},
+	{name: "throughput", run: func(r *Report) {
+		r.Throughput = Throughput{
+			FixedMBs:    round3(bench.RingThroughput(false)),
+			VariableMBs: round3(bench.RingThroughput(true)),
+		}
+	}},
+	{name: "bus_sweep", run: func(r *Report) {
+		for _, n := range busSizes {
+			r.BusSweep = append(r.BusSweep, busPoint(n))
+		}
+	}},
+	{name: "recv_dma_crossover_bytes", run: func(r *Report) {
+		r.RecvDMACrossoverBytes = recvDMACrossover()
+		r.AdaptiveRecvDMABytes = adaptiveConverged()
+	}, gate: checkRecvDMA},
+	{name: "poll_aggregation", run: func(r *Report) { r.PollAggregation = pollAggregation() },
+		gate: func(r Report) error { return r.PollAggregation.check() }},
+	{name: "failover_latency", run: func(r *Report) { r.FailoverLatency = failoverLatency() },
+		gate: func(r Report) error { return r.FailoverLatency.check() }},
+	{name: "rndv_pipeline", run: func(r *Report) { r.RndvPipeline = rndvPipeline() },
+		gate: func(r Report) error { return r.RndvPipeline.check() }},
+	{name: "stream_allreduce", run: func(r *Report) { r.StreamAllreduce = streamAllreduce() },
+		gate: func(r Report) error { return r.StreamAllreduce.check() }},
+	{name: "barrier_scaling", run: func(r *Report) { r.BarrierScaling = barrierScaling() },
+		gate: func(r Report) error { return r.BarrierScaling.check() }},
+	{name: "partition_tolerance", run: func(r *Report) { r.PartitionTolerance = partitionTolerance() },
+		gate: func(r Report) error { return r.PartitionTolerance.check() }},
+	{name: "rollup", run: func(r *Report) {
+		_, snap, _ := instrumented(4, nil)
+		r.Rollup = snap.Rollup()
+	}},
+}
+
+// busSizes is the bus-utilization sweep axis.
+var busSizes = []int{0, 16, 64, 256, 1024, 4096}
+
+// Run executes every experiment in order and assembles the report.
+func Run() Report {
+	r := Report{
+		Schema: Schema,
+		Paper:  "Low-Latency Message Passing on Workstation Clusters using SCRAMNet",
+	}
+	for _, e := range experiments {
+		e.run(&r)
+	}
+	return r
+}
+
+// Check runs every experiment's gate and returns all failures joined,
+// each prefixed with its section's name; the cmd/figures -json path
+// exits nonzero when it fails, so `make bench` names every regression
+// even before the golden-file diff.
 func (r Report) Check() error {
-	p := r.PollAggregation
+	var errs []error
+	for _, e := range experiments {
+		if e.gate == nil {
+			continue
+		}
+		if err := e.gate(r); err != nil {
+			errs = append(errs, fmt.Errorf("%s gate: %w", e.name, err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// checkRecvDMA requires a receive-DMA crossover inside the scan and the
+// adaptive estimator to converge on exactly that size (E7's 20 B on the
+// default uncontended bus).
+func checkRecvDMA(r Report) error {
+	if r.RecvDMACrossoverBytes <= 0 {
+		return fmt.Errorf("no DMA-beats-PIO receive crossover between 4 and 256 B (got %d)", r.RecvDMACrossoverBytes)
+	}
+	if r.AdaptiveRecvDMABytes != int64(r.RecvDMACrossoverBytes) {
+		return fmt.Errorf("the adaptive receive threshold converged on %d B, but the measured crossover is %d B",
+			r.AdaptiveRecvDMABytes, r.RecvDMACrossoverBytes)
+	}
+	return nil
+}
+
+func (p PollAggregation) check() error {
 	if p.PerWordPollReads <= 0 || p.BurstPollReads <= 0 {
-		return fmt.Errorf("poll aggregation gate: degenerate measurement (per-word %d, burst %d poll reads)",
+		return fmt.Errorf("degenerate measurement (per-word %d, burst %d poll reads)",
 			p.PerWordPollReads, p.BurstPollReads)
 	}
 	if p.ReductionPct < MinPollReductionPct {
-		return fmt.Errorf("poll aggregation gate: burst polling cut the sink's poll reads by %.1f%% (%d → %d at %d B / %d nodes); the gate requires ≥ %.0f%%",
+		return fmt.Errorf("burst polling cut the sink's poll reads by %.1f%% (%d → %d at %d B / %d nodes); the gate requires ≥ %.0f%%",
 			p.ReductionPct, p.PerWordPollReads, p.BurstPollReads, p.Bytes, p.Nodes, MinPollReductionPct)
 	}
-	f := r.FailoverLatency
+	return nil
+}
+
+func (f FailoverLatency) check() error {
 	if f.MPIErrorUs <= f.ConfirmWindowUs || f.MPIErrorUs > MaxMPIDeadPeerErrorUs {
-		return fmt.Errorf("failover gate: mid-Barrier DeadPeerError took %.1f µs after the bypass; must be within (%.0f, %.0f] µs (confirmation window + scan slack)",
+		return fmt.Errorf("mid-Barrier DeadPeerError took %.1f µs after the bypass; must be within (%.0f, %.0f] µs (confirmation window + scan slack)",
 			f.MPIErrorUs, f.ConfirmWindowUs, MaxMPIDeadPeerErrorUs)
 	}
 	if f.HybridRerouteUs <= f.SuspectWindowUs || f.HybridRerouteUs > MaxHybridRerouteUs {
-		return fmt.Errorf("failover gate: first proactive hybrid reroute took %.1f µs after the bypass; must be within (%.0f, %.0f] µs (suspicion window + probe spacing)",
+		return fmt.Errorf("first proactive hybrid reroute took %.1f µs after the bypass; must be within (%.0f, %.0f] µs (suspicion window + probe spacing)",
 			f.HybridRerouteUs, f.SuspectWindowUs, MaxHybridRerouteUs)
 	}
-	pt := r.PartitionTolerance
+	return nil
+}
+
+func (pt PartitionTolerance) check() error {
 	if pt.FenceUs <= pt.SuspectWindowUs || pt.FenceUs > MaxPartitionFenceUs {
-		return fmt.Errorf("partition gate: minority PartitionError took %.1f µs after the double cut; must be within (%.0f, %.0f] µs (suspicion window .. confirmation window + scan slack)",
+		return fmt.Errorf("minority PartitionError took %.1f µs after the double cut; must be within (%.0f, %.0f] µs (suspicion window .. confirmation window + scan slack)",
 			pt.FenceUs, pt.SuspectWindowUs, MaxPartitionFenceUs)
 	}
 	if pt.HealResyncUs <= 0 || pt.HealResyncUs > MaxHealResyncUs {
-		return fmt.Errorf("partition gate: all-alive resync took %.1f µs after the splice; must be within (0, %.0f] µs (a few detector periods)",
+		return fmt.Errorf("all-alive resync took %.1f µs after the splice; must be within (0, %.0f] µs (a few detector periods)",
 			pt.HealResyncUs, MaxHealResyncUs)
 	}
 	if pt.WrapPenaltyUs <= 0 || pt.WrapPenaltyUs > MaxWrapPenaltyUs {
-		return fmt.Errorf("partition gate: single-cut wrap path added %.3f µs one-way; must be within (0, %.0f] µs (hop delays only — the wrap heal does no protocol work)",
+		return fmt.Errorf("single-cut wrap path added %.3f µs one-way; must be within (0, %.0f] µs (hop delays only — the wrap heal does no protocol work)",
 			pt.WrapPenaltyUs, MaxWrapPenaltyUs)
 	}
-	z := r.RndvPipeline
+	return nil
+}
+
+func (z RndvPipeline) check() error {
 	if z.SequentialUs <= 0 || z.PipelinedUs <= 0 {
-		return fmt.Errorf("rendezvous pipeline gate: degenerate measurement (sequential %.1f µs, pipelined %.1f µs)",
+		return fmt.Errorf("degenerate measurement (sequential %.1f µs, pipelined %.1f µs)",
 			z.SequentialUs, z.PipelinedUs)
 	}
 	if z.ImprovementPct < MinRndvImprovementPct {
-		return fmt.Errorf("rendezvous pipeline gate: the windowed path cut the %d B one-way latency by %.1f%% (%.1f → %.1f µs at depth %d); the gate requires ≥ %.0f%%",
+		return fmt.Errorf("the windowed path cut the %d B one-way latency by %.1f%% (%.1f → %.1f µs at depth %d); the gate requires ≥ %.0f%%",
 			z.Bytes, z.ImprovementPct, z.SequentialUs, z.PipelinedUs, z.PipelineDepth, MinRndvImprovementPct)
 	}
-	s := r.StreamAllreduce
+	return nil
+}
+
+func (s StreamAllreduce) check() error {
 	if s.TreeUs <= 0 || s.HandlerUs <= 0 {
-		return fmt.Errorf("stream allreduce gate: degenerate measurement (tree %.1f µs, handler %.1f µs)",
+		return fmt.Errorf("degenerate measurement (tree %.1f µs, handler %.1f µs)",
 			s.TreeUs, s.HandlerUs)
 	}
 	if s.ImprovementPct < MinStreamImprovementPct {
-		return fmt.Errorf("stream allreduce gate: the handler path cut the %d B / %d-node allreduce by %.1f%% (%.1f → %.1f µs); the gate requires ≥ %.0f%%",
+		return fmt.Errorf("the handler path cut the %d B / %d-node allreduce by %.1f%% (%.1f → %.1f µs); the gate requires ≥ %.0f%%",
 			s.Bytes, s.Nodes, s.ImprovementPct, s.TreeUs, s.HandlerUs, MinStreamImprovementPct)
 	}
 	if s.HandlerCycles <= 0 {
-		return fmt.Errorf("stream allreduce gate: fast path ran without charging handler cycles — the in-network compute is no longer priced in virtual time")
+		return errors.New("fast path ran without charging handler cycles — the in-network compute is no longer priced in virtual time")
 	}
 	if !s.SuspectFallback {
-		return fmt.Errorf("stream allreduce gate: a suspect member did not degrade the fast path to the tree")
+		return errors.New("a suspect member did not degrade the fast path to the tree")
 	}
-	b := r.BarrierScaling
+	return nil
+}
+
+func (b BarrierScaling) check() error {
 	if b.HostUs <= 0 || len(b.NIC) == 0 {
-		return fmt.Errorf("barrier scaling gate: degenerate measurement (host %.1f µs, %d NIC points)",
+		return fmt.Errorf("degenerate measurement (host %.1f µs, %d NIC points)",
 			b.HostUs, len(b.NIC))
 	}
 	if b.ImprovementPct < MinBarrierImprovementPct {
-		return fmt.Errorf("barrier scaling gate: the NIC-combined round cut the %d-node coordinator barrier by %.1f%% (%.1f µs baseline); the gate requires ≥ %.0f%%",
+		return fmt.Errorf("the NIC-combined round cut the %d-node coordinator barrier by %.1f%% (%.1f µs baseline); the gate requires ≥ %.0f%%",
 			b.HostNodes, b.ImprovementPct, b.HostUs, MinBarrierImprovementPct)
 	}
 	if b.ScaleRatio <= 0 || b.ScaleRatio >= MaxBarrierScaleRatio {
-		return fmt.Errorf("barrier scaling gate: NIC barrier grew %.1f× from 16 to 256 ranks; O(ranks) would be %.0f× and the gate requires flatter",
+		return fmt.Errorf("NIC barrier grew %.1f× from 16 to 256 ranks; O(ranks) would be %.0f× and the gate requires flatter",
 			b.ScaleRatio, MaxBarrierScaleRatio)
 	}
 	if b.HostPath.GatingRank != 0 {
-		return fmt.Errorf("barrier scaling gate: host barrier critical path gated by rank %d, not the rank-0 coordinator — the span-tree proof no longer matches the algorithm",
+		return fmt.Errorf("host barrier critical path gated by rank %d, not the rank-0 coordinator — the span-tree proof no longer matches the algorithm",
 			b.HostPath.GatingRank)
 	}
 	if b.NICPath.BusBusyFrac >= b.HostPath.BusBusyFrac {
-		return fmt.Errorf("barrier scaling gate: the gating rank's bus occupancy did not drop (host %.3f → NIC %.3f); the combining pass no longer relieves the coordinator's bus",
+		return fmt.Errorf("the gating rank's bus occupancy did not drop (host %.3f → NIC %.3f); the combining pass no longer relieves the coordinator's bus",
 			b.HostPath.BusBusyFrac, b.NICPath.BusBusyFrac)
 	}
 	return nil
@@ -686,14 +769,12 @@ func mpiDeadPeerLatency(lcfg liveness.Config) float64 {
 	defer k.Close()
 	bbp := core.DefaultConfig()
 	bbp.Retry = core.DefaultRetryConfig()
-	bbp.Thresholds.SendDMA = 1 << 30 // the paper's PIO-only channel device
-	bbp.Thresholds.RecvDMA = 1 << 30
-	bbp.Thresholds.Adaptive = core.AdaptiveConfig{}
 	script := &fault.Script{Seed: 101, Actions: []fault.Action{
 		{At: kill, Kind: fault.NodeFail, Node: victim},
 	}}
 	c, err := cluster.New(k, cluster.Options{
-		Nodes: nodes, Net: cluster.SCRAMNet, BBP: &bbp, Faults: script, Liveness: &lcfg,
+		Nodes: nodes, Net: cluster.SCRAMNet, BBP: &bbp, PIOOnlyBBP: true, // the paper's channel device
+		Faults: script, Liveness: &lcfg,
 	})
 	if err != nil {
 		panic(err)
@@ -719,7 +800,7 @@ func mpiDeadPeerLatency(lcfg liveness.Config) float64 {
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
-	return round3(float64(worst.Sub(kill)) / float64(sim.Microsecond))
+	return round3(worst.Sub(kill).Microseconds())
 }
 
 // hybridRerouteLatency bypasses a node's ring card (its Myrinet link
@@ -772,7 +853,7 @@ func hybridRerouteLatency(lcfg liveness.Config) float64 {
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
-	return round3(float64(reroute.Sub(kill)) / float64(sim.Microsecond))
+	return round3(reroute.Sub(kill).Microseconds())
 }
 
 // failoverLatency assembles the E10 row.
@@ -780,8 +861,8 @@ func failoverLatency() FailoverLatency {
 	lcfg := liveness.DefaultConfig()
 	return FailoverLatency{
 		Nodes:           4,
-		SuspectWindowUs: round3(float64(lcfg.SuspectAfter) / float64(sim.Microsecond)),
-		ConfirmWindowUs: round3(float64(lcfg.ConfirmAfter) / float64(sim.Microsecond)),
+		SuspectWindowUs: round3(lcfg.SuspectAfter.Microseconds()),
+		ConfirmWindowUs: round3(lcfg.ConfirmAfter.Microseconds()),
 		MPIErrorUs:      mpiDeadPeerLatency(lcfg),
 		HybridRerouteUs: hybridRerouteLatency(lcfg),
 	}
@@ -804,11 +885,9 @@ func partitionScript(cut, heal sim.Time) *fault.Script {
 func partitionCluster(k *sim.Kernel, nodes int, script *fault.Script, lcfg *liveness.Config) *cluster.Cluster {
 	bbp := core.DefaultConfig()
 	bbp.Retry = core.DefaultRetryConfig()
-	bbp.Thresholds.SendDMA = 1 << 30
-	bbp.Thresholds.RecvDMA = 1 << 30
-	bbp.Thresholds.Adaptive = core.AdaptiveConfig{}
 	c, err := cluster.New(k, cluster.Options{
-		Nodes: nodes, Net: cluster.SCRAMNet, BBP: &bbp, Faults: script, Liveness: lcfg,
+		Nodes: nodes, Net: cluster.SCRAMNet, BBP: &bbp, PIOOnlyBBP: true,
+		Faults: script, Liveness: lcfg,
 	})
 	if err != nil {
 		panic(err)
@@ -842,7 +921,7 @@ func partitionFenceLatency(lcfg liveness.Config) float64 {
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
-	return round3(float64(worst.Sub(cut)) / float64(sim.Microsecond))
+	return round3(worst.Sub(cut).Microseconds())
 }
 
 // partitionHealLatency lets the same double cut be declared on every
@@ -896,7 +975,7 @@ func partitionHealLatency(lcfg liveness.Config) float64 {
 			panic(fmt.Sprintf("E15 node %d: partition lifecycle did not run (stats %+v)", i, st))
 		}
 	}
-	return round3(float64(done.Sub(heal)) / float64(sim.Microsecond))
+	return round3(done.Sub(heal).Microseconds())
 }
 
 // wrapPenalty returns the propagation cost, in µs, of the dual ring's
@@ -934,8 +1013,8 @@ func partitionTolerance() PartitionTolerance {
 	lcfg := liveness.DefaultConfig()
 	return PartitionTolerance{
 		Nodes:           5,
-		SuspectWindowUs: round3(float64(lcfg.SuspectAfter) / float64(sim.Microsecond)),
-		ConfirmWindowUs: round3(float64(lcfg.ConfirmAfter) / float64(sim.Microsecond)),
+		SuspectWindowUs: round3(lcfg.SuspectAfter.Microseconds()),
+		ConfirmWindowUs: round3(lcfg.ConfirmAfter.Microseconds()),
 		FenceUs:         partitionFenceLatency(lcfg),
 		HealResyncUs:    partitionHealLatency(lcfg),
 		WrapPenaltyUs:   wrapPenalty(),
@@ -1063,7 +1142,7 @@ func streamRun(fast bool, script *fault.Script, live *liveness.Config, start sim
 	for i := 0; i < StreamAllreduceNodes; i++ {
 		fellBack = fellBack || w.Engine(i).Stats().StreamFallbacks > 0
 	}
-	return round3(float64(worst.Sub(sim.Time(0).Add(start))) / float64(sim.Microsecond)), cyc, fellBack
+	return round3(worst.Sub(sim.Time(0).Add(start)).Microseconds()), cyc, fellBack
 }
 
 // streamAllreduce measures the E12 row and its degradation scenario.
@@ -1249,55 +1328,13 @@ func busPoint(n int) BusPoint {
 	}
 }
 
-// recvDMACrossover scans [lo,hi] for the first size at which the DMA
-// receive path is strictly cheaper than PIO reads.
-func recvDMACrossover(lo, hi, step int) int {
-	if step <= 0 {
-		return 0
-	}
+// recvDMACrossover scans 4..256 B in 4 B steps for the first size at
+// which the DMA receive path is strictly cheaper than PIO reads (-1:
+// never).
+func recvDMACrossover() int {
 	pio := func(n int) float64 { us, _, _ := instrumented(n, pioOnly); return us }
 	dma := func(n int) float64 { us, _, _ := instrumented(n, dmaAlways); return us }
-	return bench.Crossover(pio, dma, lo, hi, step)
-}
-
-// Run executes the suite and assembles the report.
-func Run(opts Options) Report {
-	r := Report{
-		Schema: Schema,
-		Paper:  "Low-Latency Message Passing on Workstation Clusters using SCRAMNet",
-	}
-	r.Figures = append(r.Figures,
-		Figure{Name: "fig1_small", Title: "SCRAMNet one-way latency, API vs MPI (small messages)", Series: roundSeries(bench.Fig1(opts.SmallSizes))},
-		Figure{Name: "fig1", Title: "SCRAMNet one-way latency, API vs MPI", Series: roundSeries(bench.Fig1(opts.FullSizes))},
-		Figure{Name: "fig2", Title: "One-way latency across networks, API layer", Series: roundSeries(bench.Fig2(opts.FullSizes))},
-		Figure{Name: "fig3", Title: "One-way latency across networks, MPI layer", Series: roundSeries(bench.Fig3(opts.FullSizes))},
-		Figure{Name: "fig4", Title: "SCRAMNet point-to-point vs 4-node broadcast, API layer", Series: roundSeries(bench.Fig4(opts.FullSizes))},
-	)
-	if opts.BarrierAndBcast {
-		r.Figures = append(r.Figures,
-			Figure{Name: "fig5", Title: "4-node MPI_Bcast, SCRAMNet vs Fast Ethernet", Series: roundSeries(bench.Fig5(opts.FullSizes))})
-		for _, row := range bench.Fig6() {
-			r.Barrier = append(r.Barrier, BarrierRow{Config: row.Config, Nodes: row.Nodes, Us: round3(row.Microus)})
-		}
-	}
-	r.Throughput = Throughput{
-		FixedMBs:    round3(bench.RingThroughput(false)),
-		VariableMBs: round3(bench.RingThroughput(true)),
-	}
-	for _, n := range opts.BusSizes {
-		r.BusSweep = append(r.BusSweep, busPoint(n))
-	}
-	r.RecvDMACrossoverBytes = recvDMACrossover(opts.CrossoverLo, opts.CrossoverHi, opts.CrossoverStep)
-	r.PollAggregation = pollAggregation()
-	r.AdaptiveRecvDMABytes = adaptiveConverged()
-	r.FailoverLatency = failoverLatency()
-	r.RndvPipeline = rndvPipeline()
-	r.StreamAllreduce = streamAllreduce()
-	r.BarrierScaling = barrierScaling()
-	r.PartitionTolerance = partitionTolerance()
-	_, snap, _ := instrumented(4, nil)
-	r.Rollup = snap.Rollup()
-	return r
+	return bench.Crossover(pio, dma, 4, 256, 4)
 }
 
 // Marshal renders the report as the canonical BENCH_figures.json bytes

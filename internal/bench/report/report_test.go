@@ -6,23 +6,36 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/scramnet"
 )
 
-// reduced is the package's shared Run(ReducedOptions()): it includes
-// every gated measurement (E9-E15), so the shape and gate tests read it
-// instead of each re-running the suite or its measurements.
-var reduced = sync.OnceValue(func() Report { return Run(ReducedOptions()) })
+// measured is the package's shared Run(): every shape and gate test
+// reads it instead of re-running the suite or its measurements.
+var measured = sync.OnceValue(Run)
+
+// gate returns the named experiment's gate, failing the test when the
+// suite has no such gated row.
+func gate(t *testing.T, name string) func(Report) error {
+	t.Helper()
+	for _, e := range experiments {
+		if e.name == name && e.gate != nil {
+			return e.gate
+		}
+	}
+	t.Fatalf("no gated experiment %q", name)
+	return nil
+}
 
 // TestReportByteStable is the stability guarantee the `make bench` tier
-// rests on: two full reduced runs must marshal to identical bytes. The
-// second run is independent of the shared one.
+// rests on: two full runs must marshal to identical bytes. The second
+// run is independent of the shared one.
 func TestReportByteStable(t *testing.T) {
-	a := Marshal(reduced())
-	b := Marshal(Run(ReducedOptions()))
+	a := Marshal(measured())
+	b := Marshal(Run())
 	if !bytes.Equal(a, b) {
 		t.Fatal("two identical report runs produced different bytes")
 	}
@@ -31,11 +44,11 @@ func TestReportByteStable(t *testing.T) {
 // TestReportSchemaAndShape pins the document structure a schema-7
 // consumer relies on.
 func TestReportSchemaAndShape(t *testing.T) {
-	r := reduced()
+	r := measured()
 	if r.Schema != 7 {
 		t.Fatalf("schema = %d, want 7", r.Schema)
 	}
-	wantFigs := []string{"fig1_small", "fig1", "fig2", "fig3", "fig4"}
+	wantFigs := []string{"fig1_small", "fig1", "fig2", "fig3", "fig4", "fig5"}
 	if len(r.Figures) != len(wantFigs) {
 		t.Fatalf("got %d figures, want %d", len(r.Figures), len(wantFigs))
 	}
@@ -49,8 +62,11 @@ func TestReportSchemaAndShape(t *testing.T) {
 			}
 		}
 	}
-	if len(r.BusSweep) != len(ReducedOptions().BusSizes) {
-		t.Fatalf("bus sweep has %d points, want %d", len(r.BusSweep), len(ReducedOptions().BusSizes))
+	if len(r.Barrier) == 0 {
+		t.Fatal("Figure 6 barrier table is empty")
+	}
+	if len(r.BusSweep) != len(busSizes) {
+		t.Fatalf("bus sweep has %d points, want %d", len(r.BusSweep), len(busSizes))
 	}
 	if len(r.Rollup.Counters) == 0 {
 		t.Fatal("rollup snapshot is empty — cluster instrumentation did not fire")
@@ -69,7 +85,7 @@ func TestReportSchemaAndShape(t *testing.T) {
 // same values the golden figure tests enforce: installing metrics must
 // not move any figure (instruments never charge virtual time).
 func TestReportMatchesGoldenFigures(t *testing.T) {
-	r := reduced()
+	r := measured()
 	within := func(got, want, tol float64) bool {
 		return math.Abs(got-want) <= tol*want
 	}
@@ -94,7 +110,7 @@ func TestReportMatchesGoldenFigures(t *testing.T) {
 // traffic grows with message size, and for large messages the DMA path
 // is strictly cheaper.
 func TestBusSweepShowsPIOReadDominance(t *testing.T) {
-	r := reduced()
+	r := measured()
 	small, large := r.BusSweep[0], r.BusSweep[len(r.BusSweep)-1]
 	if large.PIOReadWords <= small.PIOReadWords {
 		t.Errorf("PIO read words did not grow with size: %d -> %d", small.PIOReadWords, large.PIOReadWords)
@@ -105,37 +121,41 @@ func TestBusSweepShowsPIOReadDominance(t *testing.T) {
 	if large.BusBusyFrac <= 0 || large.BusBusyFrac > 1 {
 		t.Errorf("bus utilization %v outside (0,1]", large.BusBusyFrac)
 	}
-	if cross := r.RecvDMACrossoverBytes; cross <= 0 {
-		t.Errorf("receive DMA crossover = %d, want a positive size", cross)
+}
+
+// TestRecvDMAThresholdGate runs the E7 crossover scan and the adaptive
+// estimator and enforces their `make bench` gate in-tree: on the default
+// uncontended bus both land on 20 B, and a report whose adaptive value
+// disagrees with the measured crossover fails Check().
+func TestRecvDMAThresholdGate(t *testing.T) {
+	m := measured()
+	if err := gate(t, "recv_dma_crossover_bytes")(m); err != nil {
+		t.Fatal(err)
+	}
+	if m.RecvDMACrossoverBytes != 20 || m.AdaptiveRecvDMABytes != 20 {
+		t.Errorf("crossover %d B, adaptive threshold %d B; want both at the 20 B E7 crossover",
+			m.RecvDMACrossoverBytes, m.AdaptiveRecvDMABytes)
+	}
+	off := m
+	off.AdaptiveRecvDMABytes = int64(m.RecvDMACrossoverBytes) + 4
+	err := off.Check()
+	if err == nil || !strings.Contains(err.Error(), "recv_dma_crossover_bytes") {
+		t.Fatalf("adaptive threshold %d B vs crossover %d B: Check() = %v, want the recv_dma_crossover_bytes gate to fail",
+			off.AdaptiveRecvDMABytes, off.RecvDMACrossoverBytes, err)
 	}
 }
 
 // TestPollAggregationGate runs the E9 measurement and enforces the
 // `make bench` regression gate in-tree: the burst-read poll path must
 // cut the 0-byte incast sink's full-round-trip poll reads by at least
-// MinPollReductionPct versus per-word polling, and the adaptive
-// threshold must converge on the measured 20 B crossover (E7) on the
-// default uncontended bus.
+// MinPollReductionPct versus per-word polling.
 func TestPollAggregationGate(t *testing.T) {
-	m := reduced()
-	r := Report{
-		PollAggregation:      m.PollAggregation,
-		AdaptiveRecvDMABytes: m.AdaptiveRecvDMABytes,
-		FailoverLatency:      m.FailoverLatency, // Check gates the whole report
-		RndvPipeline:         m.RndvPipeline,
-		StreamAllreduce:      passingStream,
-		BarrierScaling:       passingBarrier,
-		PartitionTolerance:   passingPartition,
-	}
-	if err := r.Check(); err != nil {
+	p := measured().PollAggregation
+	if err := gate(t, "poll_aggregation")(measured()); err != nil {
 		t.Fatal(err)
 	}
-	p := r.PollAggregation
 	if p.BurstPollReads >= p.PerWordPollReads {
 		t.Errorf("burst polling did not reduce poll reads: %d -> %d", p.PerWordPollReads, p.BurstPollReads)
-	}
-	if r.AdaptiveRecvDMABytes != 20 {
-		t.Errorf("adaptive threshold converged on %d B, want the 20 B E7 crossover", r.AdaptiveRecvDMABytes)
 	}
 }
 
@@ -146,10 +166,8 @@ func TestPollAggregationGate(t *testing.T) {
 // window (plus probe spacing) — both orders of magnitude below the
 // ~51 ms retry-exhaustion path the failure detector replaces.
 func TestFailoverLatencyGate(t *testing.T) {
-	m := reduced()
-	f := m.FailoverLatency
-	r := Report{PollAggregation: m.PollAggregation, FailoverLatency: f, RndvPipeline: m.RndvPipeline, StreamAllreduce: passingStream, BarrierScaling: passingBarrier, PartitionTolerance: passingPartition}
-	if err := r.Check(); err != nil {
+	f := measured().FailoverLatency
+	if err := gate(t, "failover_latency")(measured()); err != nil {
 		t.Fatal(err)
 	}
 	if f.MPIErrorUs <= f.HybridRerouteUs {
@@ -166,10 +184,8 @@ func TestFailoverLatencyGate(t *testing.T) {
 // non-wire share — a larger number would mean the windowed path
 // stopped paying for the wire at all, i.e. the model broke.
 func TestRndvPipelineGate(t *testing.T) {
-	m := reduced()
-	z := m.RndvPipeline
-	r := Report{PollAggregation: m.PollAggregation, FailoverLatency: m.FailoverLatency, RndvPipeline: z, StreamAllreduce: passingStream, BarrierScaling: passingBarrier, PartitionTolerance: passingPartition}
-	if err := r.Check(); err != nil {
+	z := measured().RndvPipeline
+	if err := gate(t, "rndv_pipeline")(measured()); err != nil {
 		t.Fatal(err)
 	}
 	if z.PipelinedUs >= z.SequentialUs {
@@ -183,52 +199,22 @@ func TestRndvPipelineGate(t *testing.T) {
 	}
 }
 
-// TestGoldenBenchJSON regenerates the full default report and compares
-// it byte-for-byte against the checked-in BENCH_figures.json — the
+// TestGoldenBenchJSON compares the shared full report byte-for-byte against the checked-in BENCH_figures.json — the
 // in-tree copy of what `make bench` enforces. Regenerate with:
 //
 //	go run ./cmd/figures -json BENCH_figures.json
 func TestGoldenBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full figure suite in -short mode")
-	}
 	golden := filepath.Join("..", "..", "..", "BENCH_figures.json")
 	want, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("read golden: %v", err)
 	}
-	got := Marshal(Run(DefaultOptions()))
+	got := Marshal(measured())
 	if !bytes.Equal(got, want) {
 		t.Fatalf("BENCH_figures.json drifted from the checked-in golden.\n"+
 			"If the change is intended, regenerate with: go run ./cmd/figures -json BENCH_figures.json\n"+
 			"(got %d bytes, want %d)", len(got), len(want))
 	}
-}
-
-// passingStream is a synthetic E12 row that satisfies Check(), for
-// gate tests aimed at other subsystems; TestStreamAllreduceGate runs
-// the real measurement.
-var passingStream = StreamAllreduce{
-	Nodes: StreamAllreduceNodes, Bytes: StreamAllreduceBytes,
-	TreeUs: 700, HandlerUs: 220, ImprovementPct: 68,
-	HandlerCycles: 540, SuspectFallback: true,
-}
-
-// passingBarrier is the E14 equivalent; TestBarrierScalingGate runs the
-// real measurement.
-var passingBarrier = BarrierScaling{
-	HostNodes: BarrierHostNodes, HostUs: 137,
-	NIC:            []BarrierPoint{{Nodes: 16, Us: 56}, {Nodes: 256, Us: 770}},
-	ImprovementPct: 58, ScaleRatio: 13.6,
-	HostPath: BarrierPath{GatingRank: 0, PathUs: 100, PathFrac: 0.8, BusBusyFrac: 0.5},
-	NICPath:  BarrierPath{GatingRank: 0, PathUs: 30, PathFrac: 0.5, BusBusyFrac: 0.1},
-}
-
-// passingPartition is the E15 equivalent; TestPartitionToleranceGate
-// runs the real measurement.
-var passingPartition = PartitionTolerance{
-	Nodes: 5, SuspectWindowUs: 500, ConfirmWindowUs: 2500,
-	FenceUs: 605, HealResyncUs: 100, WrapPenaltyUs: 0.5,
 }
 
 // TestBarrierScalingGate runs the E14 measurement and enforces the
@@ -238,20 +224,8 @@ var passingPartition = PartitionTolerance{
 // critical path must pin the rank-0 coordinator as the gating rank,
 // and the combining pass must relieve that rank's bus.
 func TestBarrierScalingGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("256-rank barrier sweep in -short mode")
-	}
-	m := reduced()
-	b := m.BarrierScaling
-	r := Report{
-		PollAggregation:    m.PollAggregation,
-		FailoverLatency:    m.FailoverLatency,
-		RndvPipeline:       m.RndvPipeline,
-		StreamAllreduce:    passingStream,
-		BarrierScaling:     b,
-		PartitionTolerance: passingPartition,
-	}
-	if err := r.Check(); err != nil {
+	b := measured().BarrierScaling
+	if err := gate(t, "barrier_scaling")(measured()); err != nil {
 		t.Fatal(err)
 	}
 	// One ring revolution of wire and hop delay bounds the NIC barrier
@@ -282,17 +256,8 @@ func TestBarrierScalingGate(t *testing.T) {
 // MinStreamImprovementPct, must charge handler cycles in virtual time,
 // and must degrade to the tree when a member is suspect.
 func TestStreamAllreduceGate(t *testing.T) {
-	m := reduced()
-	s := m.StreamAllreduce
-	r := Report{
-		PollAggregation:    m.PollAggregation,
-		FailoverLatency:    m.FailoverLatency,
-		RndvPipeline:       m.RndvPipeline,
-		StreamAllreduce:    s,
-		BarrierScaling:     passingBarrier,
-		PartitionTolerance: passingPartition,
-	}
-	if err := r.Check(); err != nil {
+	s := measured().StreamAllreduce
+	if err := gate(t, "stream_allreduce")(measured()); err != nil {
 		t.Fatal(err)
 	}
 	if s.HandlerUs >= s.TreeUs {
@@ -315,17 +280,8 @@ func TestStreamAllreduceGate(t *testing.T) {
 // dual ring's single-cut wrap path must cost latency — some, but only
 // wire time.
 func TestPartitionToleranceGate(t *testing.T) {
-	m := reduced()
-	pt := m.PartitionTolerance
-	r := Report{
-		PollAggregation:    m.PollAggregation,
-		FailoverLatency:    m.FailoverLatency,
-		RndvPipeline:       m.RndvPipeline,
-		StreamAllreduce:    passingStream,
-		BarrierScaling:     passingBarrier,
-		PartitionTolerance: pt,
-	}
-	if err := r.Check(); err != nil {
+	pt := measured().PartitionTolerance
+	if err := gate(t, "partition_tolerance")(measured()); err != nil {
 		t.Fatal(err)
 	}
 	// Fencing rides the partition declaration, not dead-peer
@@ -339,5 +295,48 @@ func TestPartitionToleranceGate(t *testing.T) {
 	hopUs := float64(scramnet.DefaultConfig(4).HopDelay) / 1000.0
 	if rem := math.Mod(pt.WrapPenaltyUs, hopUs); rem > 1e-9 && hopUs-rem > 1e-9 {
 		t.Errorf("wrap penalty %v µs is not a whole number of %v µs hop delays — the wrap path charges more than wire time", pt.WrapPenaltyUs, hopUs)
+	}
+}
+
+// TestGatesRejectZeroSection is the degenerate-measurement case: every
+// gated experiment must reject a zero-valued section — a measurement
+// that silently produced nothing. Each gate reads only its own section,
+// so the zero Report zeroes exactly the section under test.
+func TestGatesRejectZeroSection(t *testing.T) {
+	gated := 0
+	for _, e := range experiments {
+		if e.gate == nil {
+			continue
+		}
+		gated++
+		if err := e.gate(Report{}); err == nil {
+			t.Errorf("%s: gate accepted a zero-valued section", e.name)
+		}
+	}
+	if gated == 0 {
+		t.Fatal("the suite has no gated experiments")
+	}
+}
+
+// TestCheckNamesEveryFailingGate breaks two sections at once: Check()
+// must report both, so one red `make bench` names every regression.
+func TestCheckNamesEveryFailingGate(t *testing.T) {
+	r := measured()
+	if err := r.Check(); err != nil {
+		t.Fatalf("real report fails its gates: %v", err)
+	}
+	r.PollAggregation.ReductionPct = 0
+	r.PartitionTolerance.WrapPenaltyUs = 0
+	err := r.Check()
+	if err == nil {
+		t.Fatal("Check() passed a report with two broken sections")
+	}
+	for _, name := range []string{"poll_aggregation", "partition_tolerance"} {
+		if !strings.Contains(err.Error(), name+" gate:") {
+			t.Errorf("Check() error does not name the %s gate:\n%v", name, err)
+		}
+	}
+	if strings.Contains(err.Error(), "rndv_pipeline") {
+		t.Errorf("Check() names an unbroken section:\n%v", err)
 	}
 }
